@@ -82,15 +82,25 @@ def _emit(doc: dict, text_lines: list[str], fmt: str) -> None:
             print(line)
 
 
+def _marginals(pf: ProblemFile, what: str):
+    """The model and tables of a credal set given only by marginal tables."""
+    k = pf.credal
+    if k.marginal_model is None:
+        raise UsageError(f"{what} needs constraints given only as marginal tables")
+    return k.marginal_model, dict(k.marginal_tables)
+
+
+def _unprojected(pf: ProblemFile, what: str):
+    """K itself, for the commands that have no projected form."""
+    if pf.has_target:
+        raise UsageError(f"{what} does not support target_variables projection")
+    return pf.credal
+
+
 def _intervals_for(pf: ProblemFile):
     if pf.has_target:
-        if pf.model is None:
-            raise UsageError(
-                "target_variables needs a marginals constraint section"
-            )
-        return reduction.projected_utility_intervals(
-            pf.problem, pf.model, pf.tables, pf.target
-        )
+        model, tables = _marginals(pf, "target_variables")
+        return reduction.projected_utility_intervals(pf.problem, model, tables, pf.target)
     return criteria.utility_intervals(pf.problem, pf.credal)
 
 
@@ -120,36 +130,26 @@ def cmd_intervals(pf: ProblemFile, args) -> int:
     return EXIT_OK
 
 
+# criterion -> (whether it needs --alpha, rule(pf, alpha))
+CRITERIA = {
+    "gm": (False, lambda pf, alpha: criteria.choose_from_intervals(_intervals_for(pf), "gm")),
+    "gh": (True, lambda pf, alpha: criteria.choose_from_intervals(_intervals_for(pf), "gh", alpha)),
+    "levi": (False, lambda pf, alpha: criteria.levi_choose(pf.problem, _unprojected(pf, "levi"))),
+    "pme": (False, lambda pf, alpha: criteria.pme_choose(pf.problem, _unprojected(pf, "pme"))),
+    "maximin": (False, lambda pf, alpha: criteria.maximin_choose(pf.problem)),
+    "hurwicz": (True, lambda pf, alpha: criteria.hurwicz_choose(pf.problem, alpha)),
+    "regret": (False, lambda pf, alpha: criteria.minimax_regret_choose(pf.problem)),
+}
+
+
 def cmd_decide(pf: ProblemFile, args) -> int:
     name = args.criterion
     if name is None:
         raise UsageError("decide requires --criterion")
-    alpha = None
-    if name in ("gh", "hurwicz"):
-        if args.alpha is None:
-            raise UsageError(f"criterion {name!r} requires --alpha")
-        alpha = to_fraction(args.alpha)
-
-    if name in ("gm", "gh") and pf.has_target:
-        result = criteria.choose_from_intervals(_intervals_for(pf), name, alpha)
-    elif name == "gm":
-        result = criteria.gm_choose(pf.problem, pf.credal)
-    elif name == "gh":
-        result = criteria.gh_choose(pf.problem, pf.credal, alpha)
-    elif name == "levi":
-        _no_target(pf, name)
-        result = criteria.levi_choose(pf.problem, pf.credal)
-    elif name == "pme":
-        _no_target(pf, name)
-        result = criteria.pme_choose(pf.problem, pf.credal)
-    elif name == "maximin":
-        result = criteria.maximin_choose(pf.problem)
-    elif name == "hurwicz":
-        result = criteria.hurwicz_choose(pf.problem, alpha)
-    elif name == "regret":
-        result = criteria.minimax_regret_choose(pf.problem)
-    else:
-        raise UsageError(f"unknown criterion {name!r}")
+    needs_alpha, rule = CRITERIA[name]
+    if needs_alpha and args.alpha is None:
+        raise UsageError(f"criterion {name!r} requires --alpha")
+    result = rule(pf, to_fraction(args.alpha) if needs_alpha else None)
 
     doc = _ranking_doc(result)
     lines = [f"chosen: {result.chosen}  [{result.criterion}]"] + [
@@ -159,17 +159,8 @@ def cmd_decide(pf: ProblemFile, args) -> int:
     return EXIT_OK
 
 
-def _no_target(pf: ProblemFile, name: str) -> None:
-    if pf.has_target:
-        raise UsageError(
-            f"criterion {name!r} does not support target_variables projection"
-        )
-
-
 def cmd_maxent(pf: ProblemFile, args) -> int:
-    if pf.credal.marginal_model is None:
-        raise UsageError("maxent requires constraints given only as marginal tables")
-    result = maxent.maxent_extend(pf.space, pf.model, pf.tables)
+    result = maxent.maxent_extend(pf.space, *_marginals(pf, "maxent"))
     doc = {
         "distribution": {
             _state_key(s): _rat_str(m)
@@ -191,9 +182,10 @@ def cmd_maxent(pf: ProblemFile, args) -> int:
 
 
 def cmd_reduce(pf: ProblemFile, args) -> int:
-    if pf.model is None or pf.target is None:
-        raise UsageError("reduce requires a marginals section and target_variables")
-    outcome = reduction.reduce_model(pf.model, pf.target)
+    model, tables = _marginals(pf, "reduce")
+    if pf.target is None:
+        raise UsageError("reduce requires target_variables")
+    outcome = reduction.reduce_model(model, pf.target)
     doc = {
         "reduced": [sorted(b) for b in outcome.reduced.blocks],
         "dropped_blocks": [sorted(b) for b in outcome.dropped_blocks],
@@ -208,9 +200,7 @@ def cmd_reduce(pf: ProblemFile, args) -> int:
     if outcome.dropped_variables:
         lines.append("dropped variables: " + ", ".join(outcome.dropped_variables))
     if args.intervals:
-        intervals = reduction.projected_utility_intervals(
-            pf.problem, pf.model, pf.tables, pf.target
-        )
+        intervals = reduction.projected_utility_intervals(pf.problem, model, tables, pf.target)
         doc["intervals"] = _interval_doc(intervals)
         lines += [
             f"U'({iv.action}) = [{fmt_rat(iv.lo)}, {fmt_rat(iv.hi)}]"
@@ -221,8 +211,7 @@ def cmd_reduce(pf: ProblemFile, args) -> int:
 
 
 def cmd_admissible(pf: ProblemFile, args) -> int:
-    _no_target(pf, "admissible")
-    pairs = criteria.e_admissible_witnesses(pf.problem, pf.credal)
+    pairs = criteria.e_admissible_witnesses(pf.problem, _unprojected(pf, "admissible"))
     doc = {
         "e_admissible": [
             {
@@ -259,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="credal", description=__doc__.splitlines()[0])
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("file", help="JSON problem file")
-    parser.add_argument("--criterion", choices=["gm", "gh", "levi", "pme", "maximin", "hurwicz", "regret"])
+    parser.add_argument("--criterion", choices=list(CRITERIA))
     parser.add_argument("--alpha", help="pessimism index in [0, 1], exact rational")
     parser.add_argument("--format", choices=["text", "json"], default="text")
     parser.add_argument("--intervals", action="store_true", help="with reduce: also print sharpened intervals")

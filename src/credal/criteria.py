@@ -5,10 +5,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import lp
 from .domain import DecisionProblem, Distribution, DomainError, to_fraction
-from .sets import CredalSet, EmptyCredalSetError, feasible
-from .solver import LpOutcome, LpProblem, solve
+from .sets import (
+    CredalSet,
+    EmptyCredalSetError,
+    LinearConstraint,
+    feasible,
+    from_raw,
+    intersect,
+)
+from .solver import LpProblem, solve
 
 
 @dataclass(frozen=True)
@@ -35,6 +41,14 @@ def _check_consistent(dp: DecisionProblem, k: CredalSet) -> None:
         raise DomainError("decision problem and credal set have different spaces")
     if not feasible(k)[0]:
         raise EmptyCredalSetError("the credal set is empty")
+
+
+def _alpha(alpha) -> Fraction:
+    """The pessimism index of the Hurwicz rules, an exact rational in [0, 1]."""
+    alpha = to_fraction(alpha)
+    if not 0 <= alpha <= 1:
+        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
+    return alpha
 
 
 def _pick(scores: list[tuple[str, Fraction]], criterion: str, **params) -> CriterionResult:
@@ -74,71 +88,44 @@ def choose_from_intervals(
     if alpha is None:
         scores = [(iv.action, iv.lo) for iv in intervals]
         return _pick(scores, criterion)
-    alpha = to_fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
+    alpha = _alpha(alpha)
     scores = [(iv.action, alpha * iv.lo + (1 - alpha) * iv.hi) for iv in intervals]
     return _pick(scores, criterion, alpha=alpha)
 
 
 def gm_choose(dp: DecisionProblem, k: CredalSet) -> CriterionResult:
     """Generalized maximin: maximize the minimum expected utility over K."""
-    intervals = utility_intervals(dp, k)
-    scores = [(iv.action, iv.lo) for iv in intervals]
-    return _pick(scores, "gm")
+    return choose_from_intervals(utility_intervals(dp, k), "gm")
 
 
 def gh_choose(dp: DecisionProblem, k: CredalSet, alpha) -> CriterionResult:
     """Generalized Hurwicz: maximize alpha*lo + (1-alpha)*hi of the interval."""
-    alpha = to_fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    intervals = utility_intervals(dp, k)
-    scores = [(iv.action, alpha * iv.lo + (1 - alpha) * iv.hi) for iv in intervals]
-    return _pick(scores, "gh", alpha=alpha)
-
-
-def _admissibility_margin(dp: DecisionProblem, k: CredalSet, action: str) -> LpOutcome:
-    """Maximize e s.t. p in K and EU(action) - EU(other) >= e for every other.
-
-    Variables are the n state masses plus e split into two nonnegative parts.
-    The action is E-admissible iff the optimum e is >= 0.
-    """
-    if len(dp.actions) == 1:
-        ok, witness = feasible(k)
-        return LpOutcome(status="optimal", value=Fraction(0), witness=witness)
-    n = k.space.n_states
-    eq, ub = k.lp_rows()
-    eq = [(coeffs + [Fraction(0), Fraction(0)], b) for coeffs, b in eq]
-    ub = [(coeffs + [Fraction(0), Fraction(0)], b) for coeffs, b in ub]
-    row_k = dp.utility_row(action)
-    for other in dp.actions:
-        if other == action:
-            continue
-        row_i = dp.utility_row(other)
-        # sum_j (u_kj - u_ij) p_j - e >= 0, stated as a <= row
-        diff = [-(uk - ui) for uk, ui in zip(row_k, row_i)]
-        ub.append((diff + [Fraction(1), Fraction(-1)], Fraction(0)))
-    objective = [Fraction(0)] * n + [Fraction(1), Fraction(-1)]
-    result = lp.solve_lp(n + 2, objective, "max", eq=eq, ub=ub)
-    if result.status != "optimal":
-        return LpOutcome(status="infeasible")
-    return LpOutcome(
-        status="optimal",
-        value=result.value,
-        witness=Distribution(k.space, result.x[:n]),
-    )
+    alpha = _alpha(alpha)  # before any LP is solved
+    return choose_from_intervals(utility_intervals(dp, k), "gh", alpha)
 
 
 def e_admissible_witnesses(
     dp: DecisionProblem, k: CredalSet
 ) -> list[tuple[str, Distribution]]:
-    """The E-admissible actions, each with a p in K at which it is EU-maximal."""
+    """The E-admissible actions, each with a witness p in K.
+
+    An action is E-admissible iff the part of K where it is EU-maximal is
+    non-empty.  Its witness is the point of that part at which the action's
+    own expected utility is highest.
+    """
     _check_consistent(dp, k)
     out = []
     for action in dp.actions:
-        outcome = _admissibility_margin(dp, k, action)
-        if outcome.status == "optimal" and outcome.value >= 0:
+        row = dp.utility_row(action)
+        # EU(action) >= EU(other); an identical row gives no constraint
+        dominance = [
+            LinearConstraint([u - v for u, v in zip(row, other)], ">=", 0)
+            for other in dp.utilities
+            if other != row
+        ]
+        region = intersect(k, from_raw(k.space, dominance))
+        outcome = solve(LpProblem(row, "max", region))
+        if outcome.status == "optimal":
             out.append((action, outcome.witness))
     return out
 
@@ -187,9 +174,7 @@ def maximin_choose(dp: DecisionProblem) -> CriterionResult:
 
 def hurwicz_choose(dp: DecisionProblem, alpha) -> CriterionResult:
     """Classical Hurwicz pessimism-optimism index on raw utility rows."""
-    alpha = to_fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
+    alpha = _alpha(alpha)
     scores = [
         (a, alpha * min(dp.utility_row(a)) + (1 - alpha) * max(dp.utility_row(a)))
         for a in dp.actions

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,7 +64,7 @@ class VariableSpace:
                 return vals
         raise DomainError(f"unknown variable {name!r}")
 
-    @property
+    @functools.cached_property
     def states(self) -> tuple[tuple[str, ...], ...]:
         return tuple(itertools.product(*(vals for _, vals in self.variables)))
 

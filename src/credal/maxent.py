@@ -88,22 +88,9 @@ def maxent_extend(
         sub, groups = _cells(space, block)
         plans.append([(groups[cell], tables[block][cell]) for cell in sub.states])
 
-    # exact first sweep
     p = [Fraction(1, n)] * n
-    for plan in plans:
-        for indices, target in plan:
-            current = sum(p[j] for j in indices)
-            if current == 0:
-                if target != 0:
-                    raise MaxEntError(
-                        "a marginal cell with positive mass is unreachable"
-                    )
-                continue
-            factor = Fraction(target) / current
-            for j in indices:
-                p[j] *= factor
-    residual = _residual(p, plans)
-    if residual == 0:
+    _sweep(p, plans, 0)  # exact first sweep
+    if _residual(p, plans) == 0:
         return MaxEntResult(
             space=space,
             distribution=tuple(p),
@@ -114,32 +101,40 @@ def maxent_extend(
         )
 
     # float continuation
-    q = [float(m) for m in p]
+    p = [float(m) for m in p]
     for sweep in range(2, max_sweeps + 1):
-        for plan in plans:
-            for indices, target in plan:
-                current = sum(q[j] for j in indices)
-                target = float(target)
-                if current == 0.0:
-                    if target > tolerance:
-                        raise MaxEntError(
-                            "a marginal cell with positive mass is unreachable"
-                        )
-                    continue
-                factor = target / current
-                for j in indices:
-                    q[j] *= factor
-        residual = _residual(q, plans)
+        _sweep(p, plans, tolerance)
+        residual = _residual(p, plans)
         if residual <= tolerance:
             return MaxEntResult(
                 space=space,
-                distribution=tuple(q),
-                entropy=entropy(q, base),
+                distribution=tuple(p),
+                entropy=entropy(p, base),
                 iterations=sweep,
                 residual=float(residual),
                 exact=False,
             )
     raise MaxEntError(f"no convergence within {max_sweeps} sweeps")
+
+
+def _sweep(p, plans, tolerance) -> None:
+    """One IPF sweep in place: scale each cell's states to the cell's target.
+
+    Exact on Fraction masses; on float masses the Fraction targets divide as
+    floats.  A cell with no mass left may only have a target within tolerance.
+    """
+    for plan in plans:
+        for indices, target in plan:
+            current = sum(p[j] for j in indices)
+            if current == 0:
+                if target > tolerance:
+                    raise MaxEntError(
+                        "a marginal cell with positive mass is unreachable"
+                    )
+                continue
+            factor = target / current
+            for j in indices:
+                p[j] *= factor
 
 
 def _residual(p, plans):

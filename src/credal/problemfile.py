@@ -8,9 +8,9 @@ declared variable order (e.g. "B,S").
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
-from typing import Mapping
 
 from .domain import (
     DecisionProblem,
@@ -32,10 +32,7 @@ class ProblemFileError(ValueError):
 class ProblemFile:
     space: VariableSpace
     problem: DecisionProblem
-    credal: CredalSet
-    # present iff the constraints include a marginals section
-    model: Model | None
-    tables: dict | None
+    credal: CredalSet  # carries the marginal tables iff they are its only constraints
     target: tuple[str, ...] | None
 
     @property
@@ -67,9 +64,23 @@ def _state_key(space: VariableSpace, key: str) -> tuple[str, ...]:
     return parts
 
 
-def parse_problem(raw: Mapping) -> ProblemFile:
+def _expect(value, kind: type, what: str):
+    """The value, if the JSON gave it the kind (dict or list) the format needs."""
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "array"
+        raise ProblemFileError(f"{what} must be a JSON {name}, not {type(value).__name__}")
+    return value
+
+
+def parse_problem(raw) -> ProblemFile:
+    """The problem in a decoded JSON document."""
+    _expect(raw, dict, "a problem file")
     try:
-        space = VariableSpace(list(raw["variables"].items()))
+        variables = _expect(raw["variables"], dict, "'variables'")
+        space = VariableSpace(
+            (name, _expect(values, list, f"the values of {name!r}"))
+            for name, values in variables.items()
+        )
     except KeyError:
         raise ProblemFileError("missing 'variables' section")
     except DomainError as exc:
@@ -77,7 +88,7 @@ def parse_problem(raw: Mapping) -> ProblemFile:
 
     target = raw.get("target_variables")
     if target is not None:
-        target = tuple(target)
+        target = tuple(_expect(target, list, "'target_variables'"))
         unknown = set(target) - set(space.names)
         if unknown:
             raise ProblemFileError(f"unknown target variables {sorted(unknown)}")
@@ -86,12 +97,13 @@ def parse_problem(raw: Mapping) -> ProblemFile:
         dp_space = space
 
     try:
-        actions = raw["actions"]
+        actions = _expect(raw["actions"], list, "'actions'")
         utilities = {
             action: {
-                _state_key(dp_space, key): to_fraction(v) for key, v in row.items()
+                _state_key(dp_space, key): to_fraction(v)
+                for key, v in _expect(row, dict, f"the utilities of {action!r}").items()
             }
-            for action, row in raw["utilities"].items()
+            for action, row in _expect(raw["utilities"], dict, "'utilities'").items()
         }
         problem = DecisionProblem(dp_space, actions, utilities)
     except KeyError as exc:
@@ -101,9 +113,6 @@ def parse_problem(raw: Mapping) -> ProblemFile:
 
     constraints = raw.get("constraints", {})
     parts: list[CredalSet] = []
-    model = None
-    tables = None
-
     try:
         if "marginals" in constraints:
             blocks = [frozenset(entry["block"]) for entry in constraints["marginals"]]
@@ -136,23 +145,15 @@ def parse_problem(raw: Mapping) -> ProblemFile:
                     LinearConstraint(coeffs, entry["relation"], entry["rhs"])
                 )
             parts.append(sets.from_raw(space, raws))
-    except (DomainError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # DomainError is a ValueError
         raise ProblemFileError(f"bad constraints section: {exc}") from exc
 
-    if not parts:
-        credal = sets.full_simplex(space)
-    elif len(parts) == 1:
-        credal = parts[0]  # keeps marginal provenance for the max-entropy rule
-    else:
-        credal = parts[0]
-        for part in parts[1:]:
-            credal = sets.intersect(credal, part)
+    # a single section keeps its marginal provenance; intersect drops it
+    credal = functools.reduce(sets.intersect, parts) if parts else sets.full_simplex(space)
 
     return ProblemFile(
         space=space,
         problem=problem,
         credal=credal,
-        model=model,
-        tables=tables,
         target=target,
     )

@@ -16,7 +16,7 @@ from .domain import (
     VariableSpace,
     project,
 )
-from .sets import from_marginals
+from .sets import EmptyCredalSetError, from_marginals
 from .solver import LpProblem, solve
 
 
@@ -232,7 +232,7 @@ def projected_utility_intervals(
         lo = solve(LpProblem(objective, "min", k))
         hi = solve(LpProblem(objective, "max", k))
         if lo.status != "optimal":
-            raise DomainError("the marginal tables are inconsistent")
+            raise EmptyCredalSetError("the marginal tables are inconsistent")
         out.append(
             UtilityInterval(
                 action=action,

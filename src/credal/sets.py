@@ -14,7 +14,6 @@ from .domain import (
     VariableSpace,
     to_fraction,
 )
-from . import lp
 
 
 class EmptyCredalSetError(ValueError):
@@ -195,12 +194,10 @@ def intersect(a: CredalSet, b: CredalSet) -> CredalSet:
 
 def feasible(k: CredalSet) -> tuple[bool, Distribution | None]:
     """Phase-one feasibility: a witness distribution in K, if any."""
-    n = k.space.n_states
-    eq, ub = k.lp_rows()
-    result = lp.solve_lp(n, [Fraction(0)] * n, "min", eq=eq, ub=ub)
-    if result.status != "optimal":
-        return False, None
-    return True, Distribution(k.space, result.x)
+    from .solver import LpProblem, solve  # local import: solver depends on sets
+
+    outcome = solve(LpProblem([0] * k.space.n_states, "min", k))
+    return outcome.status == "optimal", outcome.witness
 
 
 def is_consistent(k: CredalSet) -> bool:

@@ -8,9 +8,9 @@ from typing import Sequence
 
 from . import lp
 from .domain import Distribution, DomainError, to_fraction
-from .sets import CredalSet, feasible, is_consistent
+from .sets import CredalSet
 
-__all__ = ["LpProblem", "LpOutcome", "solve", "feasible", "is_consistent"]
+__all__ = ["LpProblem", "LpOutcome", "solve"]
 
 
 @dataclass(frozen=True)

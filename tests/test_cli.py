@@ -42,6 +42,29 @@ class TestProblemFile:
         with pytest.raises(ProblemFileError):
             load_problem(str(bad))
 
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw["constraints"]["intervals"].update(H=["0.4", "0.5", "0.6"]),
+        lambda raw: raw.update(variables=[["coin", ["H", "T"]]]),
+        lambda raw: [raw],
+        # would otherwise be read as the two actions "a" and "1"
+        lambda raw: raw.update(actions="a1", utilities={
+            "a": raw["utilities"]["a1"], "1": raw["utilities"]["a2"]}),
+        lambda raw: raw.update(variables={"coin": "HT"}),
+        lambda raw: raw.update(utilities=[raw["utilities"]]),
+        lambda raw: raw["utilities"].update(a1=["1000", "-995"]),
+        lambda raw: raw.update(target_variables="coin"),
+    ], ids=["interval-3-elements", "variables-list", "top-level-array", "actions-string",
+            "values-string", "utilities-list", "utility-row-list", "target-string"])
+    def test_malformed_shape_rejected(self, capsys, tmp_path, edit):
+        raw = json.loads(Path(COIN).read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(raw) or raw))
+        with pytest.raises(ProblemFileError):
+            load_problem(str(bad))
+        code, _, err = run(capsys, "check", str(bad))
+        assert code == 1
+        assert err.startswith("error:")
+
 
 class TestCheck:
     def test_shape_color_consistent(self, capsys):
@@ -90,6 +113,30 @@ class TestIntervals:
             assert entry["action"] == iv.action
             assert Fraction(entry["lo"]) == iv.lo
             assert Fraction(entry["hi"]) == iv.hi
+
+    @pytest.mark.parametrize("argv", [["intervals"], ["decide", "--criterion", "gm"]],
+                             ids=["intervals", "decide-gm"])
+    def test_target_with_other_sections_refused(self, capsys, tmp_path, argv):
+        raw = json.loads(Path(THREE).read_text())
+        # p(C=B) = 0.7 in the tables, so this floor empties K (check exits 2)
+        raw["constraints"]["intervals"] = {"B,A,S,L,L,L": ["0.9", "1"]}
+        f = tmp_path / "three_intervals.json"
+        f.write_text(json.dumps(raw))
+        code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+        assert code == 1
+        assert out == ""
+        assert "target_variables" in err and "marginal tables" in err
+
+    def test_inconsistent_projected_tables_exit_2(self, capsys, tmp_path):
+        raw = json.loads(Path(THREE).read_text())
+        # p(M=A) = 0.5 here but 0.8 in the {M, S, D} table
+        raw["constraints"]["marginals"][0]["table"] = {
+            "B,A": "0.3", "B,P": "0.2", "W,A": "0.2", "W,P": "0.3"}
+        f = tmp_path / "three_inconsistent.json"
+        f.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "intervals", str(f))
+        assert code == 2
+        assert err.startswith("inconsistent:")
 
     def test_byte_deterministic(self, capsys):
         _, first, _ = run(capsys, "intervals", SHAPE, "--format", "json")

@@ -146,6 +146,19 @@ class TestEAdmissible:
             eu = {a: cr.expected_utility(witness, dp, a) for a in dp.actions}
             assert eu[action] == max(eu.values())
 
+    def test_identical_utility_rows(self, coin):
+        space, k, _ = coin
+        # b1 duplicates a1, so their dominance rows over each other are zero
+        twin = cr.DecisionProblem(space, ["a1", "b1", "a2", "a3"],
+                                  [[1000, -995], [1000, -995], [-995, 1000], [0, 0]])
+        pairs = dict(cr.e_admissible_witnesses(twin, k))
+        assert list(pairs) == ["a1", "b1", "a2"]
+        for action, witness in pairs.items():
+            eu = {a: cr.expected_utility(witness, twin, a) for a in twin.actions}
+            assert eu[action] == max(eu.values())
+        # each witness maximizes the action's EU where the action is maximal
+        assert pairs["a1"][("H",)] == pairs["b1"][("H",)] == Fraction(3, 5)
+
 
 class TestLevi:
     def test_coin_tiebreak(self, coin):
