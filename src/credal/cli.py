@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from fractions import Fraction
 
@@ -22,8 +20,6 @@ from .lp import SolverError
 from .maxent import MaxEntError
 from .problemfile import ProblemFile, ProblemFileError, load_problem
 from .sets import EmptyCredalSetError
-
-log = logging.getLogger("credal")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,14 +46,22 @@ def _state_key(state) -> str:
     return ",".join(state)
 
 
+def _dist_doc(d):
+    return {_state_key(s): _rat_str(m) for s, m in d.as_dict().items()}
+
+
+def _block_str(block) -> str:
+    return "{" + ",".join(sorted(block)) + "}"
+
+
 def _interval_doc(intervals):
     return [
         {
             "action": iv.action,
             "lo": _rat_str(iv.lo),
             "hi": _rat_str(iv.hi),
-            "lo_witness": {_state_key(s): _rat_str(m) for s, m in iv.lo_witness.as_dict().items()},
-            "hi_witness": {_state_key(s): _rat_str(m) for s, m in iv.hi_witness.as_dict().items()},
+            "lo_witness": _dist_doc(iv.lo_witness),
+            "hi_witness": _dist_doc(iv.hi_witness),
         }
         for iv in intervals
     ]
@@ -109,10 +113,7 @@ def cmd_check(pf: ProblemFile, args) -> int:
     if not ok:
         _emit({"consistent": False}, ["inconsistent: the credal set is empty"], args.format)
         return EXIT_INCONSISTENT
-    doc = {
-        "consistent": True,
-        "witness": {_state_key(s): _rat_str(m) for s, m in witness.as_dict().items()},
-    }
+    doc = {"consistent": True, "witness": _dist_doc(witness)}
     lines = ["consistent"] + [
         f"  p({_state_key(s)}) = {fmt_rat(m)}" for s, m in witness.as_dict().items()
     ]
@@ -191,12 +192,9 @@ def cmd_reduce(pf: ProblemFile, args) -> int:
         "dropped_blocks": [sorted(b) for b in outcome.dropped_blocks],
         "dropped_variables": list(outcome.dropped_variables),
     }
-    lines = ["W = {" + ", ".join("{" + ",".join(sorted(b)) + "}" for b in outcome.reduced.blocks) + "}"]
+    lines = ["W = {" + ", ".join(map(_block_str, outcome.reduced.blocks)) + "}"]
     if outcome.dropped_blocks:
-        lines.append(
-            "dropped blocks: "
-            + ", ".join("{" + ",".join(sorted(b)) + "}" for b in outcome.dropped_blocks)
-        )
+        lines.append("dropped blocks: " + ", ".join(map(_block_str, outcome.dropped_blocks)))
     if outcome.dropped_variables:
         lines.append("dropped variables: " + ", ".join(outcome.dropped_variables))
     if args.intervals:
@@ -213,13 +211,7 @@ def cmd_reduce(pf: ProblemFile, args) -> int:
 def cmd_admissible(pf: ProblemFile, args) -> int:
     pairs = criteria.e_admissible_witnesses(pf.problem, _unprojected(pf, "admissible"))
     doc = {
-        "e_admissible": [
-            {
-                "action": a,
-                "witness": {_state_key(s): _rat_str(m) for s, m in w.as_dict().items()},
-            }
-            for a, w in pairs
-        ]
+        "e_admissible": [{"action": a, "witness": _dist_doc(w)} for a, w in pairs]
     }
     lines = []
     for a, w in pairs:
@@ -256,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("CREDAL_LOG", "WARNING").upper())
     try:
         args = build_parser().parse_args(argv)
         pf = load_problem(args.file)

@@ -94,6 +94,14 @@ class VariableSpace:
             raise DomainError(f"unknown variables {sorted(unknown)}")
         return VariableSpace([(n, v) for n, v in self.variables if n in wanted])
 
+    def projection(self, subset: Iterable[str]) -> tuple["VariableSpace", tuple[int, ...]]:
+        """The subset's space, and for each state j the index of its projection
+        among the subspace's states."""
+        sub = self.subspace(subset)
+        positions = [self.names.index(n) for n in sub.names]
+        index = {s: i for i, s in enumerate(sub.states)}
+        return sub, tuple(index[tuple(s[i] for i in positions)] for s in self.states)
+
 
 @dataclass(frozen=True)
 class Distribution:
@@ -183,6 +191,9 @@ class DecisionProblem:
         if not actions:
             raise DomainError("at least one action is required")
         if isinstance(utilities, Mapping):
+            extra = set(utilities) - set(actions)
+            if extra:
+                raise DomainError(f"utility rows for undeclared actions {sorted(extra)}")
             rows = []
             for a in actions:
                 if a not in utilities:
@@ -217,12 +228,10 @@ class DecisionProblem:
 
 def project(p: Distribution, subset: Iterable[str]) -> Distribution:
     """Marginalize p onto a variable subset (the subset may be empty)."""
-    sub = p.space.subspace(subset)
-    positions = [p.space.names.index(n) for n in sub.names]
-    acc: dict[tuple[str, ...], Fraction] = {s: Fraction(0) for s in sub.states}
-    for state, m in zip(p.space.states, p.mass):
-        key = tuple(state[i] for i in positions)
-        acc[key] += m
+    sub, cell = p.space.projection(subset)
+    acc = [Fraction(0)] * sub.n_states
+    for c, m in zip(cell, p.mass):
+        acc[c] += m
     return Distribution(sub, acc)
 
 

@@ -50,16 +50,6 @@ def entropy(mass, base: float = math.e) -> float:
     return total / math.log(base)
 
 
-def _cells(space: VariableSpace, block: frozenset[str]):
-    """For each cell of the block's marginal, the indices of matching states."""
-    sub = space.subspace(block)
-    positions = [space.names.index(n) for n in sub.names]
-    groups = {cell: [] for cell in sub.states}
-    for j, state in enumerate(space.states):
-        groups[tuple(state[i] for i in positions)].append(j)
-    return sub, groups
-
-
 def maxent_extend(
     space: VariableSpace,
     model: Model,
@@ -85,8 +75,11 @@ def maxent_extend(
     for block in model.blocks:
         if not block:
             continue
-        sub, groups = _cells(space, block)
-        plans.append([(groups[cell], tables[block][cell]) for cell in sub.states])
+        sub, cell = space.projection(block)
+        groups = [[] for _ in range(sub.n_states)]
+        for j, c in enumerate(cell):
+            groups[c].append(j)
+        plans.append(list(zip(groups, tables[block].mass)))
 
     p = [Fraction(1, n)] * n
     _sweep(p, plans, 0)  # exact first sweep

@@ -111,7 +111,10 @@ def parse_problem(raw) -> ProblemFile:
     except DomainError as exc:
         raise ProblemFileError(str(exc)) from exc
 
-    constraints = raw.get("constraints", {})
+    constraints = _expect(raw.get("constraints", {}), dict, "'constraints'")
+    unknown = set(constraints) - {"marginals", "intervals", "ordering", "linear"}
+    if unknown:
+        raise ProblemFileError(f"unknown constraint sections {sorted(unknown)}")
     parts: list[CredalSet] = []
     try:
         if "marginals" in constraints:
@@ -133,7 +136,8 @@ def parse_problem(raw) -> ProblemFile:
             }
             parts.append(sets.from_intervals(space, bounds))
         if "ordering" in constraints:
-            chain = [_state_key(space, key) for key in constraints["ordering"]]
+            ordering = _expect(constraints["ordering"], list, "'ordering'")
+            chain = [_state_key(space, key) for key in ordering]
             parts.append(sets.from_ordering(space, chain))
         if "linear" in constraints:
             raws = []

@@ -4,6 +4,7 @@ refined model preserving the projected extension onto a target variable set."""
 from __future__ import annotations
 
 import random
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -33,12 +34,6 @@ class ReductionOutcome:
     # for each reduced block, an input block containing it; marginal tables
     # for shrunken blocks are projections of the originating block's table
     origins: tuple[tuple[frozenset[str], frozenset[str]], ...]
-
-    def origin_of(self, block: frozenset[str]) -> frozenset[str]:
-        for b, o in self.origins:
-            if b == block:
-                return o
-        raise DomainError(f"block {sorted(block)} is not in the reduced model")
 
 
 def connected_components(model: Model) -> ComponentPartition:
@@ -116,73 +111,50 @@ def reduce_model(
 ) -> ReductionOutcome:
     """The most refined model with the same extension projected onto the target.
 
-    Starting from the components touching the target, repeat to a fixpoint:
-    drop a non-target variable occurring in a single block from that block,
-    and drop any block contained in another.  The result is order independent;
-    an rng randomizes the step order (used to test confluence).
+    GYO elimination with the target protected, from the components touching
+    the target: each round drops every non-target variable occurring in a
+    single block, then every empty block and every block contained in another
+    (of two equal blocks, the later stays), until a round changes nothing.
+    The result is order independent; an rng shuffles the blocks before each
+    round (used to test confluence).
     """
     target = frozenset(target)
     unknown = target - set(model.space.names)
     if unknown:
         raise DomainError(f"unknown target variables {sorted(unknown)}")
 
-    restricted = restrict_to_target(model, target)
     # working blocks paired with the input block each descends from
-    work: list[tuple[frozenset[str], frozenset[str]]] = [
-        (b, b) for b in restricted.blocks
-    ]
-
-    def shrink_step() -> bool:
-        counts: dict[str, int] = {}
-        for b, _ in work:
+    work = [(b, b) for b in restrict_to_target(model, target).blocks]
+    changed = True
+    while changed:
+        if rng is not None:
+            rng.shuffle(work)
+        counts = Counter(v for b, _ in work for v in b)
+        lone = {v for v, c in counts.items() if c == 1} - target
+        work = [(b - lone, origin) for b, origin in work]
+        holders = defaultdict(list)  # variable -> indices of blocks holding it
+        for i, (b, _) in enumerate(work):
             for v in b:
-                counts[v] = counts.get(v, 0) + 1
-        candidates = [
-            (i, v)
-            for i, (b, _) in enumerate(work)
-            for v in sorted(b)
-            if v not in target and counts[v] == 1
-        ]
-        if not candidates:
-            return False
-        if rng is not None:
-            i, v = rng.choice(candidates)
-        else:
-            i, v = candidates[0]
-        b, origin = work[i]
-        work[i] = (b - {v}, origin)
-        return True
+                holders[v].append(i)
 
-    def absorb_step() -> bool:
-        for i, (bi, _) in enumerate(work):
-            for j, (bj, _) in enumerate(work):
-                if i != j and bi <= bj:
-                    del work[i]
-                    return True
-        return False
+        def absorbed(i: int, b: frozenset[str]) -> bool:
+            rarest = min(b, key=lambda v: len(holders[v]))
+            return any(
+                b < work[j][0] or (b == work[j][0] and j > i)
+                for j in holders[rarest] if j != i
+            )
 
-    steps = [shrink_step, absorb_step]
-    while True:
-        if rng is not None:
-            rng.shuffle(steps)
-        if not (steps[0]() or steps[1]()):
-            break
+        kept = [(b, o) for i, (b, o) in enumerate(work) if b and not absorbed(i, b)]
+        changed = bool(lone) or len(kept) < len(work)
+        work = kept
 
-    reduced_blocks = [b for b, _ in work if b]
-    reduced = Model(model.space, reduced_blocks)
-    dropped_blocks = tuple(
-        b for b in model.blocks if b not in set(reduced_blocks)
-    )
-    kept_vars = reduced.covered
-    dropped_vars = tuple(
-        v for v in model.space.names if v in (model.covered - kept_vars - target)
-    )
-    origins = tuple((b, o) for b, o in work if b)
+    reduced = Model(model.space, [b for b, _ in work])
+    dropped_vars = model.covered - reduced.covered - target
     return ReductionOutcome(
         reduced=reduced,
-        dropped_blocks=dropped_blocks,
-        dropped_variables=dropped_vars,
-        origins=origins,
+        dropped_blocks=tuple(b for b in model.blocks if b not in reduced.block_set),
+        dropped_variables=tuple(v for v in model.space.names if v in dropped_vars),
+        origins=tuple(work),
     )
 
 
@@ -208,14 +180,12 @@ def projected_utility_intervals(
     if use_reduction:
         outcome = reduce_model(model, target)
         work_model_blocks = outcome.reduced.blocks
-        work_tables = {
-            b: project(tables[outcome.origin_of(b)], b) for b in work_model_blocks
-        }
+        work_tables = {b: project(tables[o], b) for b, o in outcome.origins}
     else:
         work_model_blocks = model.blocks
         work_tables = {b: tables[b] for b in work_model_blocks}
 
-    covered = frozenset().union(*work_model_blocks) if work_model_blocks else frozenset()
+    covered = frozenset().union(*work_model_blocks)
     ambient = model.space.subspace(covered | set(target))
     work_model = Model(ambient, work_model_blocks)
     k = from_marginals(ambient, work_model, work_tables)

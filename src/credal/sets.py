@@ -113,25 +113,19 @@ def from_marginals(
     if set(tables) != set(model.blocks):
         raise DomainError("tables do not match model blocks")
     constraints = []
-    names = space.names
     for block in model.blocks:
         table = tables[block]
-        want = space.subspace(block)
+        want, cell = space.projection(block)
         if table.space != want:
             raise DomainError(
                 f"table for block {sorted(block)} is over the wrong variables"
             )
-        positions = [names.index(n) for n in want.names]
-        if not positions:
+        if not block:
             # empty block: its only cell restates total mass, already implicit
             continue
-        for cell in want.states:
-            coeffs = [
-                Fraction(1) if all(s[i] == c for i, c in zip(positions, cell))
-                else Fraction(0)
-                for s in space.states
-            ]
-            constraints.append(LinearConstraint(coeffs, "=", table[cell]))
+        for c, mass in enumerate(table.mass):
+            coeffs = [Fraction(int(k == c)) for k in cell]
+            constraints.append(LinearConstraint(coeffs, "=", mass))
     return CredalSet(
         space, constraints, marginal_model=model, marginal_tables=tables
     )

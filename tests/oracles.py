@@ -123,3 +123,55 @@ def grid_optimum(k: CredalSet, objective, sense: str, steps: int = 200):
             ):
                 best = value
     return best
+
+
+def reduce_stepwise(blocks, target, names):
+    """Reference model reduction, one step at a time.
+
+    Keeps the blocks of components that touch the target (components ordered
+    by their first block, blocks in input order), then loops: drop the first
+    non-target variable (by block, then name) that occurs in a single block;
+    if there is none, delete the first block contained in another; stop when
+    neither applies.  Returns the reduced blocks in order, the dropped input
+    blocks and the dropped variables (in `names` order).
+    """
+    blocks = [frozenset(b) for b in blocks]
+    target = frozenset(target)
+    components = []  # lists of block indices
+    for i, b in enumerate(blocks):
+        touching = [c for c in components if any(b & blocks[j] for j in c)]
+        components = [c for c in components if c not in touching]
+        components.append(sorted(sum(touching, [i])))
+    components.sort()
+    work = [blocks[j] for c in components if any(blocks[j] & target for j in c) for j in c]
+
+    def shrink():
+        counts = {}
+        for b in work:
+            for v in b:
+                counts[v] = counts.get(v, 0) + 1
+        for i, b in enumerate(work):
+            for v in sorted(b):
+                if v not in target and counts[v] == 1:
+                    work[i] = b - {v}
+                    return True
+        return False
+
+    def absorb():
+        for i, bi in enumerate(work):
+            for j, bj in enumerate(work):
+                if i != j and bi <= bj:
+                    del work[i]
+                    return True
+        return False
+
+    while shrink() or absorb():
+        pass
+    reduced = [b for b in work if b]
+    covered = frozenset().union(*blocks)
+    dropped_vars = covered - frozenset().union(*reduced) - target
+    return (
+        reduced,
+        tuple(b for b in blocks if b not in set(reduced)),
+        tuple(v for v in names if v in dropped_vars),
+    )

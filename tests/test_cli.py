@@ -1,4 +1,5 @@
 import json
+import logging
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,8 +54,14 @@ class TestProblemFile:
         lambda raw: raw.update(utilities=[raw["utilities"]]),
         lambda raw: raw["utilities"].update(a1=["1000", "-995"]),
         lambda raw: raw.update(target_variables="coin"),
+        # would otherwise leave K the full simplex
+        lambda raw: raw.update(constraints={"interval": raw["constraints"]["intervals"]}),
+        # would otherwise be read as the chain T >= H
+        lambda raw: raw["constraints"].update(ordering="TH"),
+        lambda raw: raw["utilities"].update(a4={"H": "1", "T": "1"}),
     ], ids=["interval-3-elements", "variables-list", "top-level-array", "actions-string",
-            "values-string", "utilities-list", "utility-row-list", "target-string"])
+            "values-string", "utilities-list", "utility-row-list", "target-string",
+            "unknown-section", "ordering-string", "undeclared-action-row"])
     def test_malformed_shape_rejected(self, capsys, tmp_path, edit):
         raw = json.loads(Path(COIN).read_text())
         bad = tmp_path / "bad.json"
@@ -266,6 +273,12 @@ class TestAdmissible:
 
 
 class TestUsage:
+    def test_log_variable_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("CREDAL_LOG", "bogus")
+        # without pytest's capture handler, so a logging setup would still run
+        monkeypatch.setattr(logging.root, "handlers", [])
+        assert main(["check", COIN]) == 0
+
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate", COIN)
         assert code == 1

@@ -139,3 +139,28 @@ class TestMaxentProperties:
             cell = tuple(state[i] for i in positions)
             if tables[block][cell] == 0:
                 assert result.distribution[j] == 0.0
+
+    def test_decomposable_models_exact_in_one_sweep(self):
+        # random junction trees: each block joins a nonempty proper subset of
+        # an earlier block to a new variable; blocks are then shuffled, and
+        # the joint has zero cells
+        rng = random.Random(61)
+        for _ in range(30):
+            variables = [(f"v{k}", "012"[: rng.choice((2, 3))]) for k in range(2)]
+            blocks = [{"v0", "v1"}]
+            n = math.prod(len(values) for _, values in variables)
+            while n * 2 <= 32:
+                parent = sorted(rng.choice(blocks))
+                separator = set(rng.sample(parent, rng.randrange(1, len(parent))))
+                name = f"v{len(variables)}"
+                variables.append((name, "012"[: rng.choice((2, 3)) if n * 3 <= 32 else 2]))
+                blocks.append(separator | {name})
+                n *= len(variables[-1][1])
+            rng.shuffle(blocks)
+            space = cr.VariableSpace(variables)
+            weights = [rng.choice((0, 0, 1, 2, 3, 5, 8)) for _ in range(n)]
+            weights[rng.randrange(n)] += 1
+            p = cr.Distribution(space, [Fraction(w, sum(weights)) for w in weights])
+            model = cr.Model(space, blocks)
+            result = cr.maxent_extend(space, model, cr.project_model(p, model))
+            assert result.exact and result.iterations == 1, blocks

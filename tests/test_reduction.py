@@ -6,6 +6,7 @@ import pytest
 import credal as cr
 from credal.domain import DomainError
 
+from oracles import reduce_stepwise
 from test_domain import rand_distribution
 
 
@@ -153,6 +154,47 @@ class TestReduce:
                     model, target, rng=random.Random(seed * 1000 + trial)
                 )
                 assert blocks_of(shuffled.reduced) == baseline
+
+    def test_matches_stepwise_reference(self):
+        rng = random.Random(53)
+        checked = 0
+        while checked < 600:
+            names = "ABCDEFGH"[: rng.randrange(1, 9)]
+            space = cr.VariableSpace([(v, "01") for v in names])
+            blocks = [
+                frozenset(rng.sample(names, rng.randrange(1, min(4, len(names)) + 1)))
+                for _ in range(rng.randrange(1, 7))
+            ]
+            try:
+                model = cr.Model(space, blocks)
+            except DomainError:
+                continue
+            target = set(rng.sample(names, rng.randrange(0, min(3, len(names)) + 1)))
+            outcome = cr.reduce_model(model, target)
+            assert (
+                list(outcome.reduced.blocks),
+                outcome.dropped_blocks,
+                outcome.dropped_variables,
+            ) == reduce_stepwise(model.blocks, target, names), (blocks, target)
+            checked += 1
+
+    def test_wide_tree_keeps_cycle(self):
+        # a 4-cycle through the target, with 200 dangling tree blocks
+        cycle = ["C1", "C2", "C3", "C4"]
+        rng = random.Random(7)
+        names = list(cycle)
+        blocks = [frozenset(p) for p in zip(cycle, cycle[1:] + cycle[:1])]
+        for t in range(200):
+            child = f"Y{t + 1}"
+            blocks.append(frozenset({rng.choice(names), child}))
+            names.append(child)
+        model = cr.Model(cr.VariableSpace([(v, "01") for v in names]), blocks)
+        outcome = cr.reduce_model(model, {"C1", "C3"})
+        assert outcome.reduced.blocks == tuple(blocks[:4])
+        assert outcome.dropped_variables == tuple(names[4:])
+        assert [b for b, _ in outcome.origins] == list(outcome.reduced.blocks)
+        for b, origin in outcome.origins:
+            assert origin in model.blocks and b <= origin
 
 
 class TestProjectedUtilityIntervals:
