@@ -16,6 +16,7 @@ from .sets import (
     CredalSet,
     EmptyCredalSetError,
     LinearConstraint,
+    LpOutcome,
     feasible,
     from_intervals,
     from_marginals,
@@ -24,8 +25,8 @@ from .sets import (
     full_simplex,
     intersect,
     is_consistent,
+    solve,
 )
-from .solver import LpOutcome, LpProblem, solve
 from .criteria import (
     CriterionResult,
     UtilityInterval,

@@ -13,8 +13,8 @@ from .sets import (
     feasible,
     from_raw,
     intersect,
+    solve,
 )
-from .solver import LpProblem, solve
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,8 @@ def utility_intervals(dp: DecisionProblem, k: CredalSet) -> list[UtilityInterval
     out = []
     for action in dp.actions:
         row = dp.utility_row(action)
-        lo = solve(LpProblem(row, "min", k))
-        hi = solve(LpProblem(row, "max", k))
+        lo = solve(k, row, "min")
+        hi = solve(k, row, "max")
         out.append(
             UtilityInterval(
                 action=action,
@@ -124,7 +124,7 @@ def e_admissible_witnesses(
             if other != row
         ]
         region = intersect(k, from_raw(k.space, dominance))
-        outcome = solve(LpProblem(row, "max", region))
+        outcome = solve(region, row, "max")
         if outcome.status == "optimal":
             out.append((action, outcome.witness))
     return out

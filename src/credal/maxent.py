@@ -10,8 +10,8 @@ from typing import Mapping
 from .domain import Distribution, DomainError, Model, VariableSpace
 from .sets import from_marginals, is_consistent
 
-DEFAULT_TOLERANCE = 1e-12
-DEFAULT_MAX_SWEEPS = 10000
+TOLERANCE = 1e-12
+MAX_SWEEPS = 10000
 
 
 class MaxEntError(RuntimeError):
@@ -23,7 +23,7 @@ class MaxEntResult:
     """The entropy-maximizing extension of a set of marginal tables.
 
     The masses are exact rationals when fitting terminates after the first
-    sweep (always the case for partition models); otherwise they are floats
+    sweep (always the case for decomposable models); otherwise they are floats
     with the stated residual.
     """
 
@@ -54,17 +54,16 @@ def maxent_extend(
     space: VariableSpace,
     model: Model,
     tables: Mapping[frozenset[str], Distribution],
-    base: float = math.e,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> MaxEntResult:
     """Fit the unique maximum-entropy joint distribution matching the tables.
 
     Starts from the uniform distribution and cycles over the marginal cells
     in model declaration order (cells lexicographic), rescaling the matching
-    states multiplicatively.  The first sweep runs in exact rationals; if it
-    already reproduces every table (e.g. the blocks form a partition) the
-    result is exact, otherwise fitting continues in floating point.
+    states multiplicatively.  The first sweep runs in exact rationals and is
+    exact after one sweep for decomposable models (partitions and junction
+    trees, in any block order).  Otherwise fitting continues in floating point
+    until the residual is at most TOLERANCE, for at most MAX_SWEEPS sweeps.
+    Entropy is in nats.
     """
     tables = {frozenset(b): t for b, t in tables.items()}
     if not is_consistent(from_marginals(space, model, tables)):
@@ -87,7 +86,7 @@ def maxent_extend(
         return MaxEntResult(
             space=space,
             distribution=tuple(p),
-            entropy=entropy(p, base),
+            entropy=entropy(p),
             iterations=1,
             residual=0.0,
             exact=True,
@@ -95,19 +94,19 @@ def maxent_extend(
 
     # float continuation
     p = [float(m) for m in p]
-    for sweep in range(2, max_sweeps + 1):
-        _sweep(p, plans, tolerance)
+    for sweep in range(2, MAX_SWEEPS + 1):
+        _sweep(p, plans, TOLERANCE)
         residual = _residual(p, plans)
-        if residual <= tolerance:
+        if residual <= TOLERANCE:
             return MaxEntResult(
                 space=space,
                 distribution=tuple(p),
-                entropy=entropy(p, base),
+                entropy=entropy(p),
                 iterations=sweep,
                 residual=float(residual),
                 exact=False,
             )
-    raise MaxEntError(f"no convergence within {max_sweeps} sweeps")
+    raise MaxEntError(f"no convergence within {MAX_SWEEPS} sweeps")
 
 
 def _sweep(p, plans, tolerance) -> None:

@@ -72,13 +72,22 @@ def _expect(value, kind: type, what: str):
     return value
 
 
+def _names(value, what: str) -> tuple[str, ...]:
+    """The entries of a JSON array of names, each of which must be a string."""
+    names = tuple(_expect(value, list, what))
+    for name in names:
+        if not isinstance(name, str):
+            raise ProblemFileError(f"{what} must hold strings, not {type(name).__name__}")
+    return names
+
+
 def parse_problem(raw) -> ProblemFile:
     """The problem in a decoded JSON document."""
     _expect(raw, dict, "a problem file")
     try:
         variables = _expect(raw["variables"], dict, "'variables'")
         space = VariableSpace(
-            (name, _expect(values, list, f"the values of {name!r}"))
+            (name, _names(values, f"the values of {name!r}"))
             for name, values in variables.items()
         )
     except KeyError:
@@ -88,7 +97,7 @@ def parse_problem(raw) -> ProblemFile:
 
     target = raw.get("target_variables")
     if target is not None:
-        target = tuple(_expect(target, list, "'target_variables'"))
+        target = _names(target, "'target_variables'")
         unknown = set(target) - set(space.names)
         if unknown:
             raise ProblemFileError(f"unknown target variables {sorted(unknown)}")
@@ -97,7 +106,7 @@ def parse_problem(raw) -> ProblemFile:
         dp_space = space
 
     try:
-        actions = _expect(raw["actions"], list, "'actions'")
+        actions = _names(raw["actions"], "'actions'")
         utilities = {
             action: {
                 _state_key(dp_space, key): to_fraction(v)
@@ -118,32 +127,32 @@ def parse_problem(raw) -> ProblemFile:
     parts: list[CredalSet] = []
     try:
         if "marginals" in constraints:
-            blocks = [frozenset(entry["block"]) for entry in constraints["marginals"]]
+            marginals = _expect(constraints["marginals"], list, "'marginals'")
+            blocks = [frozenset(_names(entry["block"], "a block")) for entry in marginals]
             model = Model(space, blocks)
             tables = {}
-            for entry in constraints["marginals"]:
-                block = frozenset(entry["block"])
+            for block, entry in zip(blocks, marginals):
                 sub = space.subspace(block)
+                table = _expect(entry["table"], dict, "a marginal table")
                 tables[block] = Distribution(
-                    sub,
-                    {_state_key(sub, key): v for key, v in entry["table"].items()},
+                    sub, {_state_key(sub, key): v for key, v in table.items()}
                 )
             parts.append(sets.from_marginals(space, model, tables))
         if "intervals" in constraints:
             bounds = {
-                _state_key(space, key): (lo, hi)
-                for key, (lo, hi) in constraints["intervals"].items()
+                _state_key(space, key): _expect(pair, list, f"the interval of {key!r}")
+                for key, pair in _expect(constraints["intervals"], dict, "'intervals'").items()
             }
             parts.append(sets.from_intervals(space, bounds))
         if "ordering" in constraints:
-            ordering = _expect(constraints["ordering"], list, "'ordering'")
+            ordering = _names(constraints["ordering"], "'ordering'")
             chain = [_state_key(space, key) for key in ordering]
             parts.append(sets.from_ordering(space, chain))
         if "linear" in constraints:
             raws = []
             for entry in constraints["linear"]:
                 coeffs = [to_fraction(0)] * space.n_states
-                for key, c in entry["coefficients"].items():
+                for key, c in _expect(entry["coefficients"], dict, "coefficients").items():
                     coeffs[space.state_index(_state_key(space, key))] = to_fraction(c)
                 raws.append(
                     LinearConstraint(coeffs, entry["relation"], entry["rhs"])

@@ -17,8 +17,7 @@ from .domain import (
     VariableSpace,
     project,
 )
-from .sets import EmptyCredalSetError, from_marginals
-from .solver import LpProblem, solve
+from .sets import EmptyCredalSetError, from_marginals, solve
 
 
 @dataclass(frozen=True)
@@ -64,16 +63,12 @@ def restrict_to_target(model: Model, target: Iterable[str]) -> Model:
     return Model(model.space, keep)
 
 
-def find_channels(
-    model: Model, v_a: str, v_b: str, max_length: int | None = None
-) -> list[tuple[str, ...]]:
+def find_channels(model: Model, v_a: str, v_b: str) -> list[tuple[str, ...]]:
     """All sequences of distinct variables (v_a, ..., v_b), length >= 3, where
     each interior variable co-occurs with its predecessor and successor in two
     distinct blocks.  Exponential in the worst case; verification use only."""
     if v_a == v_b:
         raise DomainError("channel endpoints must differ")
-    if max_length is None:
-        max_length = len(model.space.names)
     blocks = model.blocks
 
     def bridges(prev: str, mid: str, nxt: str) -> bool:
@@ -84,8 +79,6 @@ def find_channels(
     channels = []
 
     def extend(path: list[str]) -> None:
-        if len(path) > max_length:
-            return
         last = path[-1]
         for v in model.space.names:
             if v in path:
@@ -199,8 +192,8 @@ def projected_utility_intervals(
             row[dp.space.state_index(tuple(s[i] for i in positions))]
             for s in ambient.states
         ]
-        lo = solve(LpProblem(objective, "min", k))
-        hi = solve(LpProblem(objective, "max", k))
+        lo = solve(k, objective, "min")
+        hi = solve(k, objective, "max")
         if lo.status != "optimal":
             raise EmptyCredalSetError("the marginal tables are inconsistent")
         out.append(

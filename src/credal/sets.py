@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from . import lp
 from .domain import (
     DomainError,
     Distribution,
@@ -135,24 +136,23 @@ def from_intervals(
     space: VariableSpace,
     bounds: Mapping[Sequence[str], tuple],
 ) -> CredalSet:
-    """K from per-state probability intervals [l_j, u_j]."""
+    """K from per-state probability intervals [l_j, u_j].
+
+    Only a bound that cuts the simplex gives a row: l_j > 0 or u_j < 1.
+    """
     n = space.n_states
-    lo = [Fraction(0)] * n
-    hi = [Fraction(1)] * n
-    for state, (l, u) in bounds.items():
-        j = space.state_index(state)
-        lo[j] = to_fraction(l)
-        hi[j] = to_fraction(u)
+    given = {
+        space.state_index(s): (to_fraction(l), to_fraction(u)) for s, (l, u) in bounds.items()
+    }
     constraints = []
-    for j in range(n):
-        if not 0 <= lo[j] <= hi[j] <= 1:
-            raise DomainError(
-                f"invalid interval [{lo[j]}, {hi[j]}] for state {space.states[j]}"
-            )
-        unit = [Fraction(0)] * n
-        unit[j] = Fraction(1)
-        constraints.append(LinearConstraint(unit, ">=", lo[j]))
-        constraints.append(LinearConstraint(unit, "<=", hi[j]))
+    for j, (lo, hi) in sorted(given.items()):
+        if not 0 <= lo <= hi <= 1:
+            raise DomainError(f"invalid interval [{lo}, {hi}] for state {space.states[j]}")
+        unit = [Fraction(int(i == j)) for i in range(n)]
+        if lo > 0:
+            constraints.append(LinearConstraint(unit, ">=", lo))
+        if hi < 1:
+            constraints.append(LinearConstraint(unit, "<=", hi))
     return CredalSet(space, constraints)
 
 
@@ -186,11 +186,32 @@ def intersect(a: CredalSet, b: CredalSet) -> CredalSet:
     return CredalSet(a.space, a.constraints + b.constraints)
 
 
+@dataclass(frozen=True)
+class LpOutcome:
+    status: str  # "optimal" | "infeasible"
+    value: Fraction | None = None
+    witness: Distribution | None = None
+
+
+def solve(k: CredalSet, objective: Sequence, sense: str) -> LpOutcome:
+    """Exact optimum and attaining distribution of a linear objective over K."""
+    obj = [to_fraction(v) for v in objective]
+    if len(obj) != k.space.n_states:
+        raise DomainError("objective length != state count")
+    if sense not in ("min", "max"):
+        raise DomainError(f"sense must be 'min' or 'max', got {sense!r}")
+    eq, ub = k.lp_rows()
+    result = lp.solve_lp(k.space.n_states, obj, sense, eq=eq, ub=ub)
+    if result.status != "optimal":
+        return LpOutcome(status="infeasible")
+    return LpOutcome(
+        status="optimal", value=result.value, witness=Distribution(k.space, result.x)
+    )
+
+
 def feasible(k: CredalSet) -> tuple[bool, Distribution | None]:
     """Phase-one feasibility: a witness distribution in K, if any."""
-    from .solver import LpProblem, solve  # local import: solver depends on sets
-
-    outcome = solve(LpProblem([0] * k.space.n_states, "min", k))
+    outcome = solve(k, [0] * k.space.n_states, "min")
     return outcome.status == "optimal", outcome.witness
 
 

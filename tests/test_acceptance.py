@@ -9,7 +9,7 @@ import pytest
 
 import credal as cr
 from credal.domain import DomainError
-from credal.solver import LpProblem, solve
+from credal.sets import solve
 
 from oracles import grid_optimum
 from test_domain import rand_distribution
@@ -188,10 +188,10 @@ def test_criterion_8a_higashi_containment():
         for j in range(n):
             unit = [Fraction(0)] * n
             unit[j] = Fraction(1)
-            lo_f = solve(LpProblem(unit, "min", k_fine)).value
-            hi_f = solve(LpProblem(unit, "max", k_fine)).value
-            lo_c = solve(LpProblem(unit, "min", k_coarse)).value
-            hi_c = solve(LpProblem(unit, "max", k_coarse)).value
+            lo_f = solve(k_fine, unit, "min").value
+            hi_f = solve(k_fine, unit, "max").value
+            lo_c = solve(k_coarse, unit, "min").value
+            hi_c = solve(k_coarse, unit, "max").value
             assert lo_c <= lo_f <= hi_f <= hi_c
         pairs += 1
     report("criterion 8a", "interval nesting held on 200 random (p, X <= Y) pairs")
@@ -205,7 +205,7 @@ def test_criterion_8b_lp_vs_grid_oracle():
         objective = [Fraction(rng.randrange(-50, 51)) for _ in range(3)]
         scale = max(abs(float(v)) for v in objective) or 1.0
         for sense in ("min", "max"):
-            lp_value = float(solve(LpProblem(objective, sense, k)).value)
+            lp_value = float(solve(k, objective, sense).value)
             grid = grid_optimum(k, objective, sense)
             assert grid is not None
             assert abs(lp_value - grid) <= 3 * scale / 200
@@ -289,7 +289,7 @@ def test_criterion_8e_maxent_maximality_and_fidelity():
         witnesses = []
         for _ in range(6):
             objective = [Fraction(rng.randrange(-10, 11)) for _ in range(8)]
-            witnesses.append(solve(LpProblem(objective, "max", k)).witness.mass)
+            witnesses.append(solve(k, objective, "max").witness.mass)
         h_star = cr.entropy(result.distribution)
         for _ in range(100):
             weights = [rng.random() for _ in witnesses]

@@ -59,9 +59,29 @@ class TestProblemFile:
         # would otherwise be read as the chain T >= H
         lambda raw: raw["constraints"].update(ordering="TH"),
         lambda raw: raw["utilities"].update(a4={"H": "1", "T": "1"}),
+        lambda raw: raw.update(actions=[["a1"], "a2", "a3"]),
+        lambda raw: raw.update(target_variables=[["coin"]]),
+        lambda raw: raw.update(variables={"coin": [["H"], "T"]}),
+        lambda raw: raw["constraints"].update(ordering=[["H"]]),
+        lambda raw: raw["constraints"].update(intervals=["0.1"]),
+        # would otherwise be read as the block {c}
+        lambda raw: raw.update(variables={"c": ["H", "T"]}, constraints={
+            "marginals": [{"block": "c", "table": {"H": "0.5", "T": "0.5"}}]}),
+        # would otherwise be read as [0, 1]
+        lambda raw: raw["constraints"]["intervals"].update(H="01"),
+        # would otherwise give the state (H, 1) with an integer value
+        lambda raw: raw.update(variables={"coin": ["H", "T"], "side": ["up", 1]},
+                               target_variables=["coin"], constraints={}),
+        lambda raw: raw.update(constraints={
+            "marginals": [{"block": ["coin"], "table": ["0.5", "0.5"]}]}),
+        lambda raw: raw.update(constraints={
+            "linear": [{"coefficients": ["1", "0"], "relation": "<=", "rhs": "1"}]}),
     ], ids=["interval-3-elements", "variables-list", "top-level-array", "actions-string",
             "values-string", "utilities-list", "utility-row-list", "target-string",
-            "unknown-section", "ordering-string", "undeclared-action-row"])
+            "unknown-section", "ordering-string", "undeclared-action-row",
+            "actions-nested", "target-nested", "values-nested", "ordering-nested",
+            "intervals-list", "block-string", "interval-string", "values-integer",
+            "table-list", "coefficients-list"])
     def test_malformed_shape_rejected(self, capsys, tmp_path, edit):
         raw = json.loads(Path(COIN).read_text())
         bad = tmp_path / "bad.json"
@@ -84,6 +104,15 @@ class TestCheck:
         # p(BS) <= p(S-column total) = 0.6, so a 0.65 floor is infeasible
         raw["constraints"]["intervals"] = {"B,S": ["0.65", "1"]}
         f = tmp_path / "contradiction.json"
+        f.write_text(json.dumps(raw))
+        code, out, _ = run(capsys, "check", str(f))
+        assert code == 2
+
+    def test_interval_floor_on_marginals_exit_2(self, capsys, tmp_path):
+        raw = json.loads(Path(THREE).read_text())
+        # p(C=B) = 0.7 in the tables, so this floor empties K
+        raw["constraints"]["intervals"] = {"B,A,S,L,L,L": ["0.9", "1"]}
+        f = tmp_path / "three_intervals.json"
         f.write_text(json.dumps(raw))
         code, out, _ = run(capsys, "check", str(f))
         assert code == 2

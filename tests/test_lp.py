@@ -5,7 +5,7 @@ import pytest
 
 import credal as cr
 from credal.lp import SolverError, solve_lp
-from credal.solver import LpProblem, solve
+from credal.sets import solve
 
 from oracles import grid_optimum
 from test_domain import rand_distribution
@@ -36,7 +36,7 @@ def rand_interval_credal(space, rng):
 class TestSolve:
     def test_paper_ws_maximum(self, shape_color):
         _, _, _, k, dp = shape_color
-        outcome = solve(LpProblem(dp.utility_row("a_WS"), "max", k))
+        outcome = solve(k, dp.utility_row("a_WS"), "max")
         assert outcome.value == 127
         assert outcome.witness[("W", "S")] == Fraction(3, 10)
         check_witness(k, outcome, dp.utility_row("a_WS"))
@@ -46,7 +46,7 @@ class TestSolve:
         p = cr.Distribution(space, ["0.42", "0.28", "0.18", "0.12"])
         k = cr.from_intervals(space, {s: (m, m) for s, m in p.as_dict().items()})
         for action in dp.actions:
-            outcome = solve(LpProblem(dp.utility_row(action), "min", k))
+            outcome = solve(k, dp.utility_row(action), "min")
             assert outcome.value == cr.expected_utility(p, dp, action)
 
     def test_infeasible_reported(self, coin):
@@ -55,7 +55,7 @@ class TestSolve:
             cr.LinearConstraint([1, 0], "=", "0.3"),
             cr.LinearConstraint([1, 0], "=", "0.4"),
         ])
-        outcome = solve(LpProblem([1, 0], "max", k))
+        outcome = solve(k, [1, 0], "max")
         assert outcome.status == "infeasible"
 
     def test_matches_grid_oracle_on_random_intervals(self):
@@ -66,7 +66,7 @@ class TestSolve:
             objective = [Fraction(rng.randrange(-50, 51)) for _ in range(3)]
             scale = max(abs(float(v)) for v in objective) or 1.0
             for sense in ("min", "max"):
-                outcome = solve(LpProblem(objective, sense, k))
+                outcome = solve(k, objective, sense)
                 assert outcome.status == "optimal"
                 check_witness(k, outcome, objective)
                 grid = grid_optimum(k, objective, sense)
@@ -102,8 +102,8 @@ class TestSolverProperties:
             for action in dp.actions:
                 row = dp.utility_row(action)
                 neg = [-u for u in row]
-                hi = solve(LpProblem(row, "max", k)).value
-                lo_of_neg = solve(LpProblem(neg, "min", k)).value
+                hi = solve(k, row, "max").value
+                lo_of_neg = solve(k, neg, "min").value
                 assert hi == -lo_of_neg
 
     def test_termination_on_degenerate_systems(self):
@@ -122,7 +122,7 @@ class TestSolverProperties:
                 constraints.append(cr.LinearConstraint(coeffs, rel, rhs))
             k = cr.from_raw(space, constraints)
             objective = [Fraction(rng.randrange(-3, 4)) for _ in range(4)]
-            outcome = solve(LpProblem(objective, "max", k))
+            outcome = solve(k, objective, "max")
             if outcome.status == "optimal":
                 check_witness(k, outcome, objective)
 
@@ -132,8 +132,8 @@ class TestSolverProperties:
         for _ in range(30):
             k = rand_interval_credal(space, rng)
             objective = [Fraction(rng.randrange(-20, 21)) for _ in range(3)]
-            base_max = solve(LpProblem(objective, "max", k)).value
-            base_min = solve(LpProblem(objective, "min", k)).value
+            base_max = solve(k, objective, "max").value
+            base_min = solve(k, objective, "min").value
             j = rng.randrange(3)
             coeffs = [Fraction(0)] * 3
             coeffs[j] = Fraction(1)
@@ -141,10 +141,10 @@ class TestSolverProperties:
                 cr.LinearConstraint(coeffs, "<=", Fraction(rng.randrange(1, 4), 4))
             ])
             merged = cr.intersect(k, extra)
-            tighter = solve(LpProblem(objective, "max", merged))
+            tighter = solve(merged, objective, "max")
             if tighter.status == "optimal":
                 assert tighter.value <= base_max
-                assert solve(LpProblem(objective, "min", merged)).value >= base_min
+                assert solve(merged, objective, "min").value >= base_min
 
 
 class TestRawSimplex:

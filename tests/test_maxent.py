@@ -6,7 +6,7 @@ import pytest
 
 import credal as cr
 from credal.maxent import MaxEntError
-from credal.solver import LpProblem, solve
+from credal.sets import solve
 
 from test_domain import rand_distribution
 
@@ -82,7 +82,7 @@ class TestMaxentProperties:
         n = k.space.n_states
         for _ in range(8):
             objective = [Fraction(rng.randrange(-10, 11)) for _ in range(n)]
-            outcome = solve(LpProblem(objective, "max", k))
+            outcome = solve(k, objective, "max")
             witnesses.append(outcome.witness.mass)
         for _ in range(count):
             weights = [rng.random() for _ in witnesses]

@@ -5,7 +5,7 @@ import pytest
 
 import credal as cr
 from credal.domain import DomainError
-from credal.solver import LpProblem, solve
+from credal.sets import solve
 
 from oracles import polytope_vertices
 from test_domain import rand_distribution
@@ -18,8 +18,8 @@ def state_bounds(k):
     for j in range(n):
         unit = [Fraction(0)] * n
         unit[j] = Fraction(1)
-        lo = solve(LpProblem(unit, "min", k))
-        hi = solve(LpProblem(unit, "max", k))
+        lo = solve(k, unit, "min")
+        hi = solve(k, unit, "max")
         out.append((lo.value, hi.value))
     return out
 
@@ -82,6 +82,13 @@ class TestFromIntervals:
         space = shape_color[0]
         k = cr.from_intervals(space, {s: ("0", "1") for s in space.states})
         assert polytope_vertices(k) == polytope_vertices(cr.full_simplex(space))
+
+    def test_only_cutting_bounds_give_rows(self, shape_color, coin):
+        space = shape_color[0]
+        k = cr.from_intervals(space, {s: ("0", "1") for s in space.states})
+        assert k.constraints == ()
+        assert [(c.relation, c.rhs) for c in coin[1].constraints] == [
+            (">=", Fraction(2, 5)), ("<=", Fraction(3, 5))]
 
     def test_coin_k_is_segment_between_p1_and_p2(self, coin):
         _, k, _ = coin
