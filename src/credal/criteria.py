@@ -36,9 +36,13 @@ class CriterionResult:
     parameters: dict
 
 
-def _check_consistent(dp: DecisionProblem, k: CredalSet) -> None:
+def _check_space(dp: DecisionProblem, k: CredalSet) -> None:
     if dp.space != k.space:
         raise DomainError("decision problem and credal set have different spaces")
+
+
+def _check_consistent(dp: DecisionProblem, k: CredalSet) -> None:
+    _check_space(dp, k)
     if not feasible(k)[0]:
         raise EmptyCredalSetError("the credal set is empty")
 
@@ -111,9 +115,10 @@ def e_admissible_witnesses(
 
     An action is E-admissible iff the part of K where it is EU-maximal is
     non-empty.  Its witness is the point of that part at which the action's
-    own expected utility is highest.
+    own expected utility is highest.  Some action is EU-maximal at any point
+    of a nonempty K, so K is empty iff no action is admitted.
     """
-    _check_consistent(dp, k)
+    _check_space(dp, k)
     out = []
     for action in dp.actions:
         row = dp.utility_row(action)
@@ -127,6 +132,8 @@ def e_admissible_witnesses(
         outcome = solve(region, row, "max")
         if outcome.status == "optimal":
             out.append((action, outcome.witness))
+    if not out:
+        raise EmptyCredalSetError("the credal set is empty")
     return out
 
 
@@ -156,8 +163,7 @@ def pme_choose(dp: DecisionProblem, k: CredalSet) -> CriterionResult:
             "the maximum-entropy rule requires a credal set built from "
             "marginal tables over a model"
         )
-    if dp.space != k.space:
-        raise DomainError("decision problem and credal set have different spaces")
+    _check_space(dp, k)
     result = maxent_extend(k.space, k.marginal_model, dict(k.marginal_tables))
     scores = []
     for action in dp.actions:

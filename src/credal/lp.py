@@ -1,8 +1,13 @@
-"""Exact-rational two-phase simplex with Bland's anti-cycling rule."""
+"""Exact-rational two-phase simplex with Bland's anti-cycling rule.
+
+Phase one reads only the constraints, so ``reoptimize`` can start phase two
+for any objective from an earlier result's basis: a credal set runs phase one
+once (``sets.CredalSet.phase_one``) however many objectives it is solved for.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -16,6 +21,10 @@ class LpResult:
     status: str  # "optimal" | "infeasible"
     value: Fraction | None = None
     x: tuple[Fraction, ...] | None = None
+    # final tableau (artificial columns dropped) and basis of an optimal
+    # result, from which reoptimize starts
+    _tableau: list[list[Fraction]] | None = field(default=None, repr=False, compare=False)
+    _basis: list[int] | None = field(default=None, repr=False, compare=False)
 
 
 def solve_lp(
@@ -28,17 +37,11 @@ def solve_lp(
     """Optimize objective·x subject to eq rows (a·x = b), ub rows (a·x <= b), x >= 0.
 
     All arithmetic is exact; the returned x satisfies every constraint exactly.
-    Unbounded problems raise SolverError (the feasible sets handled here are
-    always bounded).
+    Phase one ignores the objective; ``reoptimize`` runs phase two alone for
+    another objective.  Unbounded problems raise SolverError (the feasible
+    sets handled here are always bounded).
     """
-    if sense not in ("min", "max"):
-        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-    if len(objective) != num_vars:
-        raise ValueError("objective length != variable count")
-
-    c = [Fraction(v) for v in objective]
-    if sense == "max":
-        c = [-v for v in c]
+    _check_objective(num_vars, objective, sense)
 
     n_slack = len(ub)
     total = num_vars + n_slack
@@ -89,11 +92,50 @@ def solve_lp(
                 continue
             _pivot(tableau, basis, [obj1], i, piv)
 
-    # phase two
-    obj2 = c + [Fraction(0)] * (n_slack + m) + [Fraction(0)]
-    for i in range(m):
-        _eliminate(obj2, tableau[i], basis[i])
-    _iterate(tableau, basis, obj2, width, allowed=total)
+    # Phase two never lets an artificial enter, and a row whose artificial is
+    # still basic is zero in every other column, so it never takes part in a
+    # ratio test: dropping the artificial columns changes no pivot.
+    tableau = [row[:total] + row[-1:] for row in tableau]
+    return _phase_two(tableau, basis, objective, sense)
+
+
+def reoptimize(start: LpResult, objective: Sequence[Fraction], sense: str) -> LpResult:
+    """Optimize a new objective from the final basis of an optimal ``start``.
+
+    Runs phase two on a copy of ``start``'s tableau, which stays unchanged.
+    When ``start`` came from a zero objective, the result equals what
+    ``solve_lp`` with this objective returns, witness included.  An infeasible
+    ``start`` is returned as is.
+    """
+    if start.status != "optimal":
+        return start
+    _check_objective(len(start.x), objective, sense)
+    return _phase_two([row[:] for row in start._tableau], list(start._basis), objective, sense)
+
+
+def _check_objective(num_vars: int, objective: Sequence[Fraction], sense: str) -> None:
+    if sense not in ("min", "max"):
+        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
+    if len(objective) != num_vars:
+        raise ValueError("objective length != variable count")
+
+
+def _phase_two(tableau, basis, c: Sequence[Fraction], sense: str) -> LpResult:
+    """Optimize c·x from a feasible basis; tableau and basis are updated in place.
+
+    The tableau holds the structural columns (variables, then slacks) and the
+    right-hand side.
+    """
+    num_vars = len(c)
+    total = len(tableau[0]) - 1 if tableau else num_vars
+    obj2 = [Fraction(v) for v in c]
+    if sense == "max":
+        obj2 = [-v for v in obj2]
+    obj2 += [Fraction(0)] * (total - num_vars) + [Fraction(0)]
+    for row, bi in zip(tableau, basis):
+        if bi < total:  # an artificial left basic has no column here
+            _eliminate(obj2, row, bi)
+    _iterate(tableau, basis, obj2, total, allowed=total)
 
     x = [Fraction(0)] * num_vars
     for i, bi in enumerate(basis):
@@ -102,7 +144,9 @@ def solve_lp(
     value = -obj2[-1]
     if sense == "max":
         value = -value
-    return LpResult(status="optimal", value=value, x=tuple(x))
+    return LpResult(
+        status="optimal", value=value, x=tuple(x), _tableau=tableau, _basis=basis
+    )
 
 
 def _eliminate(obj: list[Fraction], row: list[Fraction], col: int) -> None:

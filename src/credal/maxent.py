@@ -63,11 +63,11 @@ def maxent_extend(
     exact after one sweep for decomposable models (partitions and junction
     trees, in any block order).  Otherwise fitting continues in floating point
     until the residual is at most TOLERANCE, for at most MAX_SWEEPS sweeps.
-    Entropy is in nats.
+    Entropy is in nats.  Inconsistent tables raise MaxEntError; the exact LP
+    that detects them runs only when the first sweep misses a table.
     """
     tables = {frozenset(b): t for b, t in tables.items()}
-    if not is_consistent(from_marginals(space, model, tables)):
-        raise MaxEntError("the marginal tables are inconsistent")
+    k = from_marginals(space, model, tables)  # validates the tables
 
     n = space.n_states
     plans = []
@@ -80,8 +80,14 @@ def maxent_extend(
             groups[c].append(j)
         plans.append(list(zip(groups, tables[block].mass)))
 
+    # An exact first sweep that reproduces every table is a point of K, which
+    # proves the tables consistent; only a miss needs the consistency LP.
     p = [Fraction(1, n)] * n
-    _sweep(p, plans, 0)  # exact first sweep
+    try:
+        _sweep(p, plans, 0)
+    except MaxEntError:
+        _require_consistent(k)
+        raise
     if _residual(p, plans) == 0:
         return MaxEntResult(
             space=space,
@@ -92,6 +98,7 @@ def maxent_extend(
             exact=True,
         )
 
+    _require_consistent(k)
     # float continuation
     p = [float(m) for m in p]
     for sweep in range(2, MAX_SWEEPS + 1):
@@ -107,6 +114,11 @@ def maxent_extend(
                 exact=False,
             )
     raise MaxEntError(f"no convergence within {MAX_SWEEPS} sweeps")
+
+
+def _require_consistent(k) -> None:
+    if not is_consistent(k):
+        raise MaxEntError("the marginal tables are inconsistent")
 
 
 def _sweep(p, plans, tolerance) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -96,6 +97,16 @@ class CredalSet:
             else:
                 ub.append(([-v for v in c.coefficients], -c.rhs))
         return eq, ub
+
+    @cached_property
+    def phase_one(self) -> lp.LpResult:
+        """The LP over K with a zero objective: K's feasible basis, found once.
+
+        Every ``solve`` over K starts its phase two from a copy of this result,
+        so each credal set runs phase one at most once.
+        """
+        n = self.space.n_states
+        return lp.solve_lp(n, [Fraction(0)] * n, "min", *self.lp_rows())
 
 
 def from_marginals(
@@ -194,14 +205,17 @@ class LpOutcome:
 
 
 def solve(k: CredalSet, objective: Sequence, sense: str) -> LpOutcome:
-    """Exact optimum and attaining distribution of a linear objective over K."""
+    """Exact optimum and attaining distribution of a linear objective over K.
+
+    Phase one runs once per K (``CredalSet.phase_one``); each call runs only
+    phase two, from a copy of that basis.
+    """
     obj = [to_fraction(v) for v in objective]
     if len(obj) != k.space.n_states:
         raise DomainError("objective length != state count")
     if sense not in ("min", "max"):
         raise DomainError(f"sense must be 'min' or 'max', got {sense!r}")
-    eq, ub = k.lp_rows()
-    result = lp.solve_lp(k.space.n_states, obj, sense, eq=eq, ub=ub)
+    result = lp.reoptimize(k.phase_one, obj, sense)
     if result.status != "optimal":
         return LpOutcome(status="infeasible")
     return LpOutcome(
@@ -210,7 +224,10 @@ def solve(k: CredalSet, objective: Sequence, sense: str) -> LpOutcome:
 
 
 def feasible(k: CredalSet) -> tuple[bool, Distribution | None]:
-    """Phase-one feasibility: a witness distribution in K, if any."""
+    """Phase-one feasibility: a witness distribution in K, if any.
+
+    It reads K's cached phase one, so it adds no phase one to other solves.
+    """
     outcome = solve(k, [0] * k.space.n_states, "min")
     return outcome.status == "optimal", outcome.witness
 

@@ -6,7 +6,9 @@ Nothing here shares code with the solver paths under test.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from credal.sets import CredalSet
 
@@ -175,3 +177,148 @@ def reduce_stepwise(blocks, target, names):
         tuple(b for b in blocks if b not in set(reduced)),
         tuple(v for v in names if v in dropped_vars),
     )
+
+
+# The two-phase simplex as it stood before phase one was cached per credal
+# set: every call builds its tableau and runs phase one afresh.  It is the
+# reference for ``credal.lp.solve_lp`` and ``credal.lp.reoptimize``.
+
+
+class ColdUnbounded(RuntimeError):
+    """The reference simplex found an unbounded objective."""
+
+
+@dataclass(frozen=True)
+class ColdResult:
+    status: str  # "optimal" | "infeasible"
+    value: Fraction | None = None
+    x: tuple[Fraction, ...] | None = None
+
+
+def solve_lp_cold(
+    num_vars: int,
+    objective: Sequence[Fraction],
+    sense: str,
+    eq: Sequence[tuple[Sequence[Fraction], Fraction]] = (),
+    ub: Sequence[tuple[Sequence[Fraction], Fraction]] = (),
+) -> ColdResult:
+    """Optimize objective·x subject to eq rows (a·x = b), ub rows (a·x <= b), x >= 0.
+
+    All arithmetic is exact; the returned x satisfies every constraint exactly.
+    Unbounded problems raise ColdUnbounded (the feasible sets handled here are
+    always bounded).
+    """
+    if sense not in ("min", "max"):
+        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
+    if len(objective) != num_vars:
+        raise ValueError("objective length != variable count")
+
+    c = [Fraction(v) for v in objective]
+    if sense == "max":
+        c = [-v for v in c]
+
+    n_slack = len(ub)
+    total = num_vars + n_slack
+
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    for coeffs, b in eq:
+        row = [Fraction(v) for v in coeffs] + [Fraction(0)] * n_slack
+        rows.append(row)
+        rhs.append(Fraction(b))
+    for k, (coeffs, b) in enumerate(ub):
+        row = [Fraction(v) for v in coeffs] + [Fraction(0)] * n_slack
+        row[num_vars + k] = Fraction(1)
+        rows.append(row)
+        rhs.append(Fraction(b))
+
+    # b >= 0 for phase one
+    for i in range(len(rows)):
+        if rhs[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs[i] = -rhs[i]
+
+    m = len(rows)
+    # one artificial per row; a slack already basic with b >= 0 could serve,
+    # but uniform artificials keep the setup simple at desk scale
+    tableau = [rows[i] + [Fraction(0)] * m + [rhs[i]] for i in range(m)]
+    for i in range(m):
+        tableau[i][total + i] = Fraction(1)
+    basis = [total + i for i in range(m)]
+    width = total + m
+
+    # phase one: minimize the sum of artificials
+    obj1 = [Fraction(0)] * width + [Fraction(0)]
+    for j in range(total, width):
+        obj1[j] = Fraction(1)
+    for i in range(m):
+        _eliminate(obj1, tableau[i], basis[i])
+    _iterate(tableau, basis, obj1, width, allowed=width)
+    if -obj1[-1] != 0:
+        return ColdResult(status="infeasible")
+
+    # drive remaining artificials out of the basis
+    for i in range(m):
+        if basis[i] >= total:
+            piv = next((j for j in range(total) if tableau[i][j] != 0), None)
+            if piv is None:
+                # redundant row
+                continue
+            _pivot(tableau, basis, [obj1], i, piv)
+
+    # phase two
+    obj2 = c + [Fraction(0)] * (n_slack + m) + [Fraction(0)]
+    for i in range(m):
+        _eliminate(obj2, tableau[i], basis[i])
+    _iterate(tableau, basis, obj2, width, allowed=total)
+
+    x = [Fraction(0)] * num_vars
+    for i, bi in enumerate(basis):
+        if bi < num_vars:
+            x[bi] = tableau[i][-1]
+    value = -obj2[-1]
+    if sense == "max":
+        value = -value
+    return ColdResult(status="optimal", value=value, x=tuple(x))
+
+
+def _eliminate(obj: list[Fraction], row: list[Fraction], col: int) -> None:
+    factor = obj[col]
+    if factor != 0:
+        for j in range(len(obj)):
+            obj[j] -= factor * row[j]
+
+
+def _pivot(tableau, basis, extra_rows, r: int, col: int) -> None:
+    row = tableau[r]
+    inv = Fraction(1) / row[col]
+    for j in range(len(row)):
+        row[j] *= inv
+    for other in tableau:
+        if other is not row and other[col] != 0:
+            factor = other[col]
+            for j in range(len(other)):
+                other[j] -= factor * row[j]
+    for obj in extra_rows:
+        _eliminate(obj, row, col)
+    basis[r] = col
+
+
+def _iterate(tableau, basis, obj, width: int, allowed: int) -> None:
+    """Run simplex to optimality with Bland's rule; columns >= allowed are barred."""
+    while True:
+        entering = next((j for j in range(min(allowed, width)) if obj[j] < 0), None)
+        if entering is None:
+            return
+        leaving = None
+        best = None
+        for i, row in enumerate(tableau):
+            a = row[entering]
+            if a > 0:
+                ratio = row[-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving is None:
+            raise ColdUnbounded("LP unbounded: the feasible set should be bounded")
+        _pivot(tableau, basis, [obj], leaving, entering)

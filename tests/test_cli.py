@@ -293,6 +293,15 @@ class TestAdmissible:
         assert code == 0
         assert [e["action"] for e in json.loads(out)["e_admissible"]] == ["a1"]
 
+    def test_empty_k_exit_2(self, capsys, tmp_path):
+        raw = json.loads(Path(COIN).read_text())
+        # p(T) >= 0.7 forces p(H) <= 0.3, below the file's floor of 0.4
+        raw["constraints"]["intervals"]["T"] = ["0.7", "1"]
+        f = tmp_path / "empty.json"
+        f.write_text(json.dumps(raw))
+        code, out, _ = run(capsys, "admissible", str(f))
+        assert code == 2
+
     def test_matches_library_call(self, capsys, shape_color):
         _, _, _, k, dp = shape_color
         code, out, _ = run(capsys, "admissible", SHAPE, "--format", "json")

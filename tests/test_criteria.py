@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import credal as cr
+import credal.lp
 from credal.domain import DomainError
 from credal.sets import EmptyCredalSetError
 
@@ -58,6 +59,19 @@ class TestUtilityIntervals:
         space, _, _, _, dp = shape_color
         with pytest.raises(EmptyCredalSetError):
             cr.utility_intervals(dp, empty_k(space))
+
+    def test_one_phase_one_per_credal_set(self, shape_color, monkeypatch):
+        _, _, _, k, dp = shape_color
+        calls = []
+        original = credal.lp.solve_lp
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(credal.lp, "solve_lp", counting)
+        cr.utility_intervals(dp, k)
+        assert len(calls) == 1
 
 
 class TestGm:
@@ -146,6 +160,11 @@ class TestEAdmissible:
             eu = {a: cr.expected_utility(witness, dp, a) for a in dp.actions}
             assert eu[action] == max(eu.values())
 
+    def test_empty_k_refused(self, shape_color):
+        space, _, _, _, dp = shape_color
+        with pytest.raises(EmptyCredalSetError):
+            cr.e_admissible(dp, empty_k(space))
+
     def test_identical_utility_rows(self, coin):
         space, k, _ = coin
         # b1 duplicates a1, so their dominance rows over each other are zero
@@ -183,6 +202,11 @@ class TestLevi:
         best = max(raw_min.values())
         expected = next(a for a in dp.actions if raw_min.get(a) == best)
         assert cr.levi_choose(dp, k).chosen == expected
+
+    def test_empty_k_refused(self, shape_color):
+        space, _, _, _, dp = shape_color
+        with pytest.raises(EmptyCredalSetError):
+            cr.levi_choose(dp, empty_k(space))
 
 
 class TestPme:

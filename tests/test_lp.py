@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 import credal as cr
-from credal.lp import SolverError, solve_lp
+from credal.lp import SolverError, reoptimize, solve_lp
 from credal.sets import solve
 
-from oracles import grid_optimum
+from oracles import ColdUnbounded, grid_optimum, solve_lp_cold
 from test_domain import rand_distribution
 
 
@@ -161,3 +161,73 @@ class TestRawSimplex:
         assert result.status == "optimal"
         assert result.value == 3
         assert result.x == (Fraction(1), Fraction(0))
+
+
+def rand_lp(rng):
+    """A small random LP: eq rows, ub rows (some with negative rhs), repeated
+    and redundant rows, often an upper bound on the total.  Most are built
+    around a point x0 >= 0 and so are feasible; the rest have random
+    right-hand sides and are often infeasible."""
+    n = rng.randrange(1, 9)
+    x0 = [Fraction(rng.randrange(0, 3)) for _ in range(n)]
+    around_x0 = rng.random() < 0.75
+
+    def row(slack):
+        a = [Fraction(rng.randrange(-3, 4), rng.choice((1, 1, 2, 3))) for _ in range(n)]
+        if around_x0:
+            return a, sum((u * v for u, v in zip(a, x0)), slack)
+        return a, Fraction(rng.randrange(-3, 6), rng.choice((1, 2)))
+
+    eq = [row(Fraction(0)) for _ in range(rng.randrange(0, 4))]
+    ub = [row(Fraction(rng.randrange(0, 3))) for _ in range(rng.randrange(0, 5))]
+    if rng.random() < 0.8:
+        ub.append(([Fraction(1)] * n, sum(x0) + rng.randrange(0, 4)))
+    if eq and rng.random() < 0.3:
+        eq.append(rng.choice(eq))  # repeated row
+    if len(eq) >= 2 and rng.random() < 0.3:
+        (a, b), (c, d) = eq[0], eq[1]
+        eq.append(([u + v for u, v in zip(a, c)], b + d))  # redundant row
+    if ub and rng.random() < 0.3:
+        ub.append(rng.choice(ub))
+    objective = [Fraction(rng.randrange(-5, 6)) for _ in range(n)]
+    return n, objective, rng.choice(("min", "max")), eq, ub
+
+
+def lp_answer(solve, *args):
+    """(status, value, x) of an LP, or "unbounded"."""
+    try:
+        result = solve(*args)
+    except (SolverError, ColdUnbounded):
+        return "unbounded"
+    return result.status, result.value, result.x
+
+
+class TestWarmStart:
+    def test_matches_cold_oracle_on_random_lps(self):
+        rng = random.Random(2024)
+        statuses = set()
+        for _ in range(300):
+            n, objective, sense, eq, ub = rand_lp(rng)
+            want = lp_answer(solve_lp_cold, n, objective, sense, eq, ub)
+            assert lp_answer(solve_lp, n, objective, sense, eq, ub) == want
+            start = solve_lp(n, [Fraction(0)] * n, "min", eq, ub)
+            assert lp_answer(reoptimize, start, objective, sense) == want
+            statuses.add(want if want == "unbounded" else want[0])
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+
+    def test_infeasible_start_returned_as_is(self):
+        start = solve_lp(1, [Fraction(0)], "min", eq=[([Fraction(1)], Fraction(-1))])
+        assert start.status == "infeasible"
+        assert reoptimize(start, [Fraction(1)], "max") is start
+
+    def test_repeated_solves_match_fresh_sets(self, shape_color):
+        # small integer objectives tie often, so a phase two started from a
+        # mutated tableau would reach a different witness
+        rng = random.Random(77)
+        space = shape_color[0]
+        sets = [shape_color[3]] + [rand_interval_credal(space, rng) for _ in range(10)]
+        for k in sets:
+            for sense in ("max", "min", "max", "min", "max", "min"):
+                objective = [rng.randrange(-2, 3) for _ in range(space.n_states)]
+                fresh = cr.from_raw(space, k.constraints)
+                assert solve(k, objective, sense) == solve(fresh, objective, sense)

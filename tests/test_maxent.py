@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import credal as cr
+import credal.lp
 from credal.maxent import MaxEntError
 from credal.sets import solve
 
@@ -20,6 +21,15 @@ class TestMaxentExtend:
         assert result.distribution == (
             Fraction(21, 50), Fraction(7, 25), Fraction(9, 50), Fraction(3, 25)
         )
+
+    def test_exact_sweep_needs_no_lp(self, shape_color, monkeypatch):
+        space, model, tables, _, _ = shape_color
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("the exact sweep already proves consistency")
+
+        monkeypatch.setattr(credal.lp, "solve_lp", no_lp)
+        assert cr.maxent_extend(space, model, tables).exact
 
     def test_full_block_echoes_input(self, shape_color):
         space = shape_color[0]
@@ -53,6 +63,21 @@ class TestMaxentExtend:
             cr.maxent_extend(space2, model2, {
                 frozenset({"a", "b"}): t_ab, frozenset({"b", "c"}): t_bc
             })
+
+    @pytest.mark.parametrize("agree, ac", [
+        # the exact sweep meets an unreachable cell
+        (["1/2", "0", "0", "1/2"], ["0", "1/2", "1/2", "0"]),
+        # the exact sweep misses the a,c table
+        (["9/20", "1/20", "1/20", "9/20"], ["1/20", "9/20", "9/20", "1/20"]),
+    ], ids=["unreachable-cell", "missed-table"])
+    def test_cyclic_inconsistency_named(self, agree, ac):
+        # a, b and b, c mostly agree, yet a, c mostly disagree
+        space = cr.VariableSpace([("a", "01"), ("b", "01"), ("c", "01")])
+        model = cr.Model(space, [{"a", "b"}, {"b", "c"}, {"a", "c"}])
+        tables = {frozenset(b): cr.Distribution(space.subspace(b), t)
+                  for b, t in (("ab", agree), ("bc", agree), ("ac", ac))}
+        with pytest.raises(MaxEntError, match="the marginal tables are inconsistent"):
+            cr.maxent_extend(space, model, tables)
 
     def test_overlapping_blocks_converge(self, three_table):
         space, model, tables, _ = three_table
