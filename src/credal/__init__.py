@@ -43,14 +43,6 @@ from .criteria import (
     utility_intervals,
 )
 from .maxent import MaxEntError, MaxEntResult, entropy, maxent_extend
-from .reduction import (
-    ComponentPartition,
-    ReductionOutcome,
-    connected_components,
-    find_channels,
-    projected_utility_intervals,
-    reduce_model,
-    restrict_to_target,
-)
+from .reduction import ReductionOutcome, projected_utility_intervals, reduce_model
 
 __version__ = "0.1.0"

@@ -4,7 +4,7 @@
            [--criterion C] [--alpha RAT] [--format text|json] [--intervals]
 
 Exit codes: 0 success, 1 usage error, 2 inconsistent constraints,
-3 internal solver error.
+3 internal error (a solver fault or any other unexpected exception).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import criteria, maxent, reduction, sets
 from .domain import DomainError, to_fraction
-from .lp import SolverError
 from .maxent import MaxEntError
 from .problemfile import ProblemFile, ProblemFileError, load_problem
 from .sets import EmptyCredalSetError
@@ -24,7 +23,7 @@ from .sets import EmptyCredalSetError
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INCONSISTENT = 2
-EXIT_SOLVER = 3
+EXIT_INTERNAL = 3
 
 
 class UsageError(ValueError):
@@ -258,9 +257,9 @@ def main(argv=None) -> int:
     except (EmptyCredalSetError, MaxEntError) as exc:
         print(f"inconsistent: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    except Exception as exc:  # a SolverError, or any fault the branches above do not expect
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -58,12 +58,6 @@ class VariableSpace:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.variables)
 
-    def values(self, name: str) -> tuple[str, ...]:
-        for var, vals in self.variables:
-            if var == name:
-                return vals
-        raise DomainError(f"unknown variable {name!r}")
-
     @functools.cached_property
     def states(self) -> tuple[tuple[str, ...], ...]:
         return tuple(itertools.product(*(vals for _, vals in self.variables)))

@@ -71,32 +71,29 @@ def solve_lp(
     for i in range(m):
         tableau[i][total + i] = Fraction(1)
     basis = [total + i for i in range(m)]
-    width = total + m
 
     # phase one: minimize the sum of artificials
-    obj1 = [Fraction(0)] * width + [Fraction(0)]
-    for j in range(total, width):
-        obj1[j] = Fraction(1)
+    obj1 = [Fraction(0)] * total + [Fraction(1)] * m + [Fraction(0)]
     for i in range(m):
         _eliminate(obj1, tableau[i], basis[i])
-    _iterate(tableau, basis, obj1, width, allowed=width)
+    _iterate(tableau, basis, obj1)
     if -obj1[-1] != 0:
         return LpResult(status="infeasible")
 
-    # drive remaining artificials out of the basis
+    # Drive the remaining artificials out of the basis.  A row whose artificial
+    # cannot leave is zero in every structural column (a redundant row), so it
+    # never takes part in a ratio test, and phase two never lets an artificial
+    # enter: dropping such rows and the artificial columns changes no pivot.
+    kept = []
     for i in range(m):
         if basis[i] >= total:
             piv = next((j for j in range(total) if tableau[i][j] != 0), None)
             if piv is None:
-                # redundant row
                 continue
-            _pivot(tableau, basis, [obj1], i, piv)
-
-    # Phase two never lets an artificial enter, and a row whose artificial is
-    # still basic is zero in every other column, so it never takes part in a
-    # ratio test: dropping the artificial columns changes no pivot.
-    tableau = [row[:total] + row[-1:] for row in tableau]
-    return _phase_two(tableau, basis, objective, sense)
+            _pivot(tableau, basis, obj1, i, piv)
+        kept.append(i)
+    tableau = [tableau[i][:total] + tableau[i][-1:] for i in kept]
+    return _phase_two(tableau, [basis[i] for i in kept], objective, sense)
 
 
 def reoptimize(start: LpResult, objective: Sequence[Fraction], sense: str) -> LpResult:
@@ -133,9 +130,8 @@ def _phase_two(tableau, basis, c: Sequence[Fraction], sense: str) -> LpResult:
         obj2 = [-v for v in obj2]
     obj2 += [Fraction(0)] * (total - num_vars) + [Fraction(0)]
     for row, bi in zip(tableau, basis):
-        if bi < total:  # an artificial left basic has no column here
-            _eliminate(obj2, row, bi)
-    _iterate(tableau, basis, obj2, total, allowed=total)
+        _eliminate(obj2, row, bi)
+    _iterate(tableau, basis, obj2)
 
     x = [Fraction(0)] * num_vars
     for i, bi in enumerate(basis):
@@ -156,7 +152,7 @@ def _eliminate(obj: list[Fraction], row: list[Fraction], col: int) -> None:
             obj[j] -= factor * row[j]
 
 
-def _pivot(tableau, basis, extra_rows, r: int, col: int) -> None:
+def _pivot(tableau, basis, obj, r: int, col: int) -> None:
     row = tableau[r]
     inv = Fraction(1) / row[col]
     for j in range(len(row)):
@@ -166,15 +162,14 @@ def _pivot(tableau, basis, extra_rows, r: int, col: int) -> None:
             factor = other[col]
             for j in range(len(other)):
                 other[j] -= factor * row[j]
-    for obj in extra_rows:
-        _eliminate(obj, row, col)
+    _eliminate(obj, row, col)
     basis[r] = col
 
 
-def _iterate(tableau, basis, obj, width: int, allowed: int) -> None:
-    """Run simplex to optimality with Bland's rule; columns >= allowed are barred."""
+def _iterate(tableau, basis, obj) -> None:
+    """Run simplex to optimality with Bland's rule; obj's last entry is the rhs."""
     while True:
-        entering = next((j for j in range(min(allowed, width)) if obj[j] < 0), None)
+        entering = next((j for j in range(len(obj) - 1) if obj[j] < 0), None)
         if entering is None:
             return
         leaving = None
@@ -188,4 +183,4 @@ def _iterate(tableau, basis, obj, width: int, allowed: int) -> None:
                     leaving = i
         if leaving is None:
             raise SolverError("LP unbounded: the feasible set should be bounded")
-        _pivot(tableau, basis, [obj], leaving, entering)
+        _pivot(tableau, basis, obj, leaving, entering)

@@ -34,11 +34,6 @@ class MaxEntResult:
     residual: float
     exact: bool
 
-    def as_distribution(self) -> Distribution:
-        if not self.exact:
-            raise MaxEntError("result is a float approximation, not exact")
-        return Distribution(self.space, self.distribution)
-
 
 def entropy(mass, base: float = math.e) -> float:
     """Shannon entropy -sum p log p, with 0 log 0 = 0."""

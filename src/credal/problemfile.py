@@ -50,7 +50,7 @@ def load_problem(path: str) -> ProblemFile:
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh, parse_float=_reject_float)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ProblemFileError(f"invalid JSON: {exc}") from exc
     return parse_problem(raw)
 

@@ -1,5 +1,5 @@
-"""Model surgery: connected components, channels, and reduction to the most
-refined model preserving the projected extension onto a target variable set."""
+"""Model reduction to the most refined model preserving the projected
+extension onto a target variable set, and the utility intervals it sharpens."""
 
 from __future__ import annotations
 
@@ -14,15 +14,9 @@ from .domain import (
     Distribution,
     DomainError,
     Model,
-    VariableSpace,
     project,
 )
 from .sets import EmptyCredalSetError, from_marginals, solve
-
-
-@dataclass(frozen=True)
-class ComponentPartition:
-    components: tuple[frozenset[frozenset[str]], ...]
 
 
 @dataclass(frozen=True)
@@ -33,68 +27,6 @@ class ReductionOutcome:
     # for each reduced block, an input block containing it; marginal tables
     # for shrunken blocks are projections of the originating block's table
     origins: tuple[tuple[frozenset[str], frozenset[str]], ...]
-
-
-def connected_components(model: Model) -> ComponentPartition:
-    """Partition the blocks under the shares-a-variable adjacency relation."""
-    remaining = list(model.blocks)
-    components = []
-    while remaining:
-        component = [remaining.pop(0)]
-        grew = True
-        while grew:
-            grew = False
-            for b in list(remaining):
-                if any(b & c for c in component):
-                    component.append(b)
-                    remaining.remove(b)
-                    grew = True
-        components.append(frozenset(component))
-    return ComponentPartition(tuple(components))
-
-
-def restrict_to_target(model: Model, target: Iterable[str]) -> Model:
-    """Keep only blocks of components that touch the target variables."""
-    target = frozenset(target)
-    keep = []
-    for component in connected_components(model).components:
-        if any(b & target for b in component):
-            keep.extend(b for b in model.blocks if b in component)
-    return Model(model.space, keep)
-
-
-def find_channels(model: Model, v_a: str, v_b: str) -> list[tuple[str, ...]]:
-    """All sequences of distinct variables (v_a, ..., v_b), length >= 3, where
-    each interior variable co-occurs with its predecessor and successor in two
-    distinct blocks.  Exponential in the worst case; verification use only."""
-    if v_a == v_b:
-        raise DomainError("channel endpoints must differ")
-    blocks = model.blocks
-
-    def bridges(prev: str, mid: str, nxt: str) -> bool:
-        holds_in = [b for b in blocks if {prev, mid} <= b]
-        holds_out = [b for b in blocks if {mid, nxt} <= b]
-        return any(a != b for a in holds_in for b in holds_out)
-
-    channels = []
-
-    def extend(path: list[str]) -> None:
-        last = path[-1]
-        for v in model.space.names:
-            if v in path:
-                continue
-            if not any({last, v} <= b for b in blocks):
-                continue
-            if len(path) >= 2 and not bridges(path[-2], last, v):
-                continue
-            if v == v_b:
-                if len(path) + 1 >= 3:
-                    channels.append(tuple(path + [v]))
-                continue
-            extend(path + [v])
-
-    extend([v_a])
-    return channels
 
 
 def reduce_model(
@@ -116,8 +48,25 @@ def reduce_model(
     if unknown:
         raise DomainError(f"unknown target variables {sorted(unknown)}")
 
+    # label each block with the first block of its component
+    blocks = model.blocks
+    holders = _holders(blocks)
+    label = [None] * len(blocks)
+    for first in range(len(blocks)):
+        if label[first] is None:
+            label[first] = first
+            stack = [first]
+            while stack:
+                for v in blocks[stack.pop()]:
+                    for j in holders[v]:
+                        if label[j] is None:
+                            label[j] = first
+                            stack.append(j)
+    touching = {label[i] for i, b in enumerate(blocks) if b & target}
+    order = sorted((label[i], i) for i in range(len(blocks)) if label[i] in touching)
+
     # working blocks paired with the input block each descends from
-    work = [(b, b) for b in restrict_to_target(model, target).blocks]
+    work = [(blocks[i], blocks[i]) for _, i in order]
     changed = True
     while changed:
         if rng is not None:
@@ -125,10 +74,7 @@ def reduce_model(
         counts = Counter(v for b, _ in work for v in b)
         lone = {v for v, c in counts.items() if c == 1} - target
         work = [(b - lone, origin) for b, origin in work]
-        holders = defaultdict(list)  # variable -> indices of blocks holding it
-        for i, (b, _) in enumerate(work):
-            for v in b:
-                holders[v].append(i)
+        holders = _holders([b for b, _ in work])
 
         def absorbed(i: int, b: frozenset[str]) -> bool:
             rarest = min(b, key=lambda v: len(holders[v]))
@@ -149,6 +95,15 @@ def reduce_model(
         dropped_variables=tuple(v for v in model.space.names if v in dropped_vars),
         origins=tuple(work),
     )
+
+
+def _holders(blocks) -> defaultdict[str, list[int]]:
+    """Variable -> indices of the blocks holding it."""
+    holders = defaultdict(list)
+    for i, b in enumerate(blocks):
+        for v in b:
+            holders[v].append(i)
+    return holders
 
 
 def projected_utility_intervals(

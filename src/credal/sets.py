@@ -75,8 +75,7 @@ class CredalSet:
         object.__setattr__(
             self,
             "marginal_tables",
-            tuple(marginal_tables.items()) if isinstance(marginal_tables, Mapping)
-            else marginal_tables,
+            None if marginal_tables is None else tuple(marginal_tables.items()),
         )
 
     def contains(self, p: Distribution) -> bool:

@@ -127,6 +127,40 @@ def grid_optimum(k: CredalSet, objective, sense: str, steps: int = 200):
     return best
 
 
+def find_channels(model, v_a: str, v_b: str) -> list[tuple[str, ...]]:
+    """All sequences of distinct variables (v_a, ..., v_b), length >= 3, where
+    each interior variable co-occurs with its predecessor and successor in two
+    distinct blocks.  Exponential in the worst case; verification use only."""
+    if v_a == v_b:
+        raise ValueError("channel endpoints must differ")
+    blocks = model.blocks
+
+    def bridges(prev: str, mid: str, nxt: str) -> bool:
+        holds_in = [b for b in blocks if {prev, mid} <= b]
+        holds_out = [b for b in blocks if {mid, nxt} <= b]
+        return any(a != b for a in holds_in for b in holds_out)
+
+    channels = []
+
+    def extend(path: list[str]) -> None:
+        last = path[-1]
+        for v in model.space.names:
+            if v in path:
+                continue
+            if not any({last, v} <= b for b in blocks):
+                continue
+            if len(path) >= 2 and not bridges(path[-2], last, v):
+                continue
+            if v == v_b:
+                if len(path) + 1 >= 3:
+                    channels.append(tuple(path + [v]))
+                continue
+            extend(path + [v])
+
+    extend([v_a])
+    return channels
+
+
 def reduce_stepwise(blocks, target, names):
     """Reference model reduction, one step at a time.
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import credal as cr
+from credal import cli
 from credal.cli import main
 from credal.problemfile import ProblemFileError, load_problem
 
@@ -324,3 +325,23 @@ class TestUsage:
     def test_missing_file(self, capsys):
         code = main(["check", "/nonexistent.json"])
         assert code == 1
+
+    @pytest.mark.parametrize("content", [
+        pytest.param(b'{"variables": {"x": ["\xff"]}}', id="not-utf8"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, id="deep-array"),
+    ])
+    def test_unreadable_file_exit_1(self, capsys, tmp_path, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        with pytest.raises(ProblemFileError):
+            load_problem(str(bad))
+        code, _, err = run(capsys, "check", str(bad))
+        assert code == 1 and err.startswith("error: invalid JSON")
+
+    def test_internal_fault_exit_3(self, capsys, monkeypatch):
+        def fault(pf, args):
+            raise MemoryError
+        monkeypatch.setitem(cli.COMMANDS, "check", fault)
+        code, out, err = run(capsys, "check", COIN)
+        assert code == 3
+        assert err == "internal error: MemoryError()\n" and out == ""

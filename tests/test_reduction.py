@@ -6,7 +6,7 @@ import pytest
 import credal as cr
 from credal.domain import DomainError
 
-from oracles import reduce_stepwise
+from oracles import find_channels, reduce_stepwise
 from test_domain import rand_distribution
 
 
@@ -19,70 +19,21 @@ def abcdef():
     return cr.VariableSpace([(v, "01") for v in "ABCDEF"])
 
 
-class TestConnectedComponents:
-    def test_paper_partition(self, abcdef):
-        model = cr.Model(abcdef, [{"A", "B"}, {"B", "C"}, {"D", "E"}, {"E", "F"}])
-        parts = cr.connected_components(model).components
-        assert {frozenset(map(frozenset, [{"A", "B"}, {"B", "C"}])),
-                frozenset(map(frozenset, [{"D", "E"}, {"E", "F"}]))} == set(parts)
-
-    def test_single_block(self, abcdef):
-        model = cr.Model(abcdef, [{"A", "B"}])
-        assert len(cr.connected_components(model).components) == 1
-
-    def test_disjoint_blocks_are_singletons(self, abcdef):
-        model = cr.Model(abcdef, [{"A", "B"}, {"C", "D"}, {"E", "F"}])
-        assert len(cr.connected_components(model).components) == 3
-
-
-class TestRestrictToTarget:
-    def test_drops_unlinked_component(self, three_table):
-        _, model, _, _ = three_table
-        restricted = cr.restrict_to_target(model, {"C", "S"})
-        assert blocks_of(restricted) == {
-            frozenset({"C", "M"}), frozenset({"M", "S", "D"})
-        }
-
-    def test_disjoint_target_gives_empty_model(self, abcdef):
-        model = cr.Model(abcdef, [{"A", "B"}])
-        assert cr.restrict_to_target(model, {"C"}).blocks == ()
-
-    def test_fully_connected_model_unchanged(self, abcdef):
-        model = cr.Model(abcdef, [{"A", "B"}, {"B", "C"}, {"C", "D"}])
-        assert blocks_of(cr.restrict_to_target(model, {"A"})) == blocks_of(model)
-
-    def test_never_drops_block_touching_target(self, abcdef):
-        rng = random.Random(4)
-        for _ in range(50):
-            blocks = set()
-            while len(blocks) < 3:
-                blocks.add(frozenset(rng.sample("ABCDEF", rng.randrange(1, 3))))
-            try:
-                model = cr.Model(abcdef, blocks)
-            except DomainError:
-                continue
-            target = set(rng.sample("ABCDEF", 2))
-            kept = blocks_of(cr.restrict_to_target(model, target))
-            for b in blocks:
-                if b & target:
-                    assert b in kept
-
-
 class TestFindChannels:
     def test_single_bridge(self, three_table):
         space = three_table[0]
         model = cr.Model(space, [{"C", "M"}, {"M", "S", "D"}])
-        assert cr.find_channels(model, "C", "S") == [("C", "M", "S")]
+        assert find_channels(model, "C", "S") == [("C", "M", "S")]
 
     def test_single_block_has_no_channel(self, abcdef):
         model = cr.Model(abcdef, [{"A", "B"}])
-        assert cr.find_channels(model, "A", "B") == []
+        assert find_channels(model, "A", "B") == []
 
     def test_paper_second_example(self):
         space = cr.VariableSpace([(v, "01") for v in "ABCDEFGHM"])
         model = cr.Model(space, [{"A", "D"}, {"D", "B", "M"},
                                  {"E", "F", "G", "H", "M"}])
-        assert cr.find_channels(model, "A", "B") == [("A", "D", "B")]
+        assert find_channels(model, "A", "B") == [("A", "D", "B")]
 
 
 class TestReduce:
@@ -109,6 +60,41 @@ class TestReduce:
         outcome = cr.reduce_model(model, {"A", "B"})
         assert blocks_of(outcome.reduced) == {frozenset({"A", "B"})}
 
+    def test_unlinked_cycle_dropped(self, abcdef):
+        # GYO alone keeps a 3-cycle; it goes because it misses the target
+        cycle = [{"A", "B"}, {"B", "C"}, {"C", "A"}]
+        model = cr.Model(abcdef, cycle + [{"D", "E"}])
+        outcome = cr.reduce_model(model, {"D", "E"})
+        assert outcome.reduced.blocks == (frozenset({"D", "E"}),)
+        assert outcome.dropped_blocks == tuple(map(frozenset, cycle))
+        assert outcome.dropped_variables == ("A", "B", "C")
+
+    def test_disjoint_target_gives_empty_model(self, abcdef):
+        model = cr.Model(abcdef, [{"A", "B"}])
+        outcome = cr.reduce_model(model, {"C"})
+        assert outcome.reduced.blocks == ()
+        assert outcome.dropped_blocks == (frozenset({"A", "B"}),)
+
+    def test_components_in_order_of_first_block(self):
+        space = cr.VariableSpace([(v, "01") for v in "ACDXY"])
+        model = cr.Model(space, [{"A", "X"}, {"C", "D"}, {"X", "Y"}, {"Y", "A"}])
+        outcome = cr.reduce_model(model, {"A", "C"})
+        assert outcome.reduced.blocks == tuple(
+            map(frozenset, [{"A", "X"}, {"X", "Y"}, {"A", "Y"}, {"C"}])
+        )
+
+    def test_covered_target_variables_stay_covered(self, abcdef):
+        rng = random.Random(4)
+        for _ in range(50):
+            blocks = {frozenset(rng.sample("ABCDEF", rng.randrange(1, 3))) for _ in range(3)}
+            try:
+                model = cr.Model(abcdef, blocks)
+            except DomainError:
+                continue
+            target = set(rng.sample("ABCDEF", 2))
+            reduced = cr.reduce_model(model, target).reduced
+            assert model.covered & target <= reduced.covered
+
     def test_idempotent(self, three_table):
         _, model, _, _ = three_table
         once = cr.reduce_model(model, {"C", "S"})
@@ -133,7 +119,7 @@ class TestReduce:
                 on_channel = any(
                     v in chan
                     for a in target for b in target if a != b
-                    for chan in cr.find_channels(w, a, b)
+                    for chan in find_channels(w, a, b)
                 )
                 assert on_channel, (sorted(map(sorted, blocks)), sorted(target), v)
 
