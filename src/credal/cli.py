@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import criteria, maxent, reduction, sets
 from .domain import DomainError, to_fraction
 from .maxent import MaxEntError
-from .problemfile import ProblemFile, ProblemFileError, load_problem
+from .problemfile import ProblemFile, ProblemFileError, load_problem, state_key
 from .sets import EmptyCredalSetError
 
 EXIT_OK = 0
@@ -41,12 +41,8 @@ def _rat_str(value) -> str:
     return repr(float(value))
 
 
-def _state_key(state) -> str:
-    return ",".join(state)
-
-
 def _dist_doc(d):
-    return {_state_key(s): _rat_str(m) for s, m in d.as_dict().items()}
+    return {state_key(s): _rat_str(m) for s, m in d.as_dict().items()}
 
 
 def _block_str(block) -> str:
@@ -114,7 +110,7 @@ def cmd_check(pf: ProblemFile, args) -> int:
         return EXIT_INCONSISTENT
     doc = {"consistent": True, "witness": _dist_doc(witness)}
     lines = ["consistent"] + [
-        f"  p({_state_key(s)}) = {fmt_rat(m)}" for s, m in witness.as_dict().items()
+        f"  p({state_key(s)}) = {fmt_rat(m)}" for s, m in witness.as_dict().items()
     ]
     _emit(doc, lines, args.format)
     return EXIT_OK
@@ -147,8 +143,8 @@ def cmd_decide(pf: ProblemFile, args) -> int:
     if name is None:
         raise UsageError("decide requires --criterion")
     needs_alpha, rule = CRITERIA[name]
-    if needs_alpha and args.alpha is None:
-        raise UsageError(f"criterion {name!r} requires --alpha")
+    if needs_alpha != (args.alpha is not None):
+        raise UsageError(f"criterion {name!r} {'requires' if needs_alpha else 'takes no'} --alpha")
     result = rule(pf, to_fraction(args.alpha) if needs_alpha else None)
 
     doc = _ranking_doc(result)
@@ -163,7 +159,7 @@ def cmd_maxent(pf: ProblemFile, args) -> int:
     result = maxent.maxent_extend(pf.space, *_marginals(pf, "maxent"))
     doc = {
         "distribution": {
-            _state_key(s): _rat_str(m)
+            state_key(s): _rat_str(m)
             for s, m in zip(pf.space.states, result.distribution)
         },
         "entropy": result.entropy,
@@ -172,7 +168,7 @@ def cmd_maxent(pf: ProblemFile, args) -> int:
         "exact": result.exact,
     }
     lines = [
-        f"p*({_state_key(s)}) = " + (fmt_rat(m) if result.exact else repr(float(m)))
+        f"p*({state_key(s)}) = " + (fmt_rat(m) if result.exact else repr(float(m)))
         for s, m in zip(pf.space.states, result.distribution)
     ]
     lines.append(f"entropy = {result.entropy!r} nats")
@@ -215,7 +211,7 @@ def cmd_admissible(pf: ProblemFile, args) -> int:
     lines = []
     for a, w in pairs:
         lines.append(f"{a}: E-admissible at")
-        lines += [f"  p({_state_key(s)}) = {fmt_rat(m)}" for s, m in w.as_dict().items()]
+        lines += [f"  p({state_key(s)}) = {fmt_rat(m)}" for s, m in w.as_dict().items()]
     _emit(doc, lines, args.format)
     return EXIT_OK
 

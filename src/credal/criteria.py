@@ -56,12 +56,8 @@ def _alpha(alpha) -> Fraction:
 
 
 def _pick(scores: list[tuple[str, Fraction]], criterion: str, **params) -> CriterionResult:
-    # ties go to the lowest action index, i.e. first declared
+    # max keeps the first maximal score: ties go to the first declared action
     chosen = max(scores, key=lambda it: it[1])
-    for action, score in scores:
-        if score == chosen[1]:
-            chosen = (action, score)
-            break
     return CriterionResult(
         chosen=chosen[0], ranking=tuple(scores), criterion=criterion, parameters=params
     )

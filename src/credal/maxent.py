@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .domain import Distribution, DomainError, Model, VariableSpace
+from .domain import Distribution, Model, VariableSpace
 from .sets import from_marginals, is_consistent
 
 TOLERANCE = 1e-12
@@ -52,96 +52,69 @@ def maxent_extend(
 ) -> MaxEntResult:
     """Fit the unique maximum-entropy joint distribution matching the tables.
 
-    Starts from the uniform distribution and cycles over the marginal cells
-    in model declaration order (cells lexicographic), rescaling the matching
-    states multiplicatively.  The first sweep runs in exact rationals and is
-    exact after one sweep for decomposable models (partitions and junction
-    trees, in any block order).  Otherwise fitting continues in floating point
-    until the residual is at most TOLERANCE, for at most MAX_SWEEPS sweeps.
-    Entropy is in nats.  Inconsistent tables raise MaxEntError; the exact LP
-    that detects them runs only when the first sweep misses a table.
+    Iterative proportional fitting from the uniform start over the rows of K,
+    one 0/1 equality per marginal cell (model order, cells in sub-state order).
+    The first sweep runs in exact rationals and fits decomposable models
+    (partitions and junction trees, in any block order); otherwise fitting
+    goes on in floats until the residual is at most TOLERANCE, for at most
+    MAX_SWEEPS sweeps.  Entropy is in nats.  IPF zeroes only states in
+    zero-mass cells, where every p in K is zero too (Csiszar 1975), so
+    consistent tables leave every positive cell some mass.  A first sweep that
+    reproduces every table is a point of K; only a miss runs the exact LP,
+    which alone judges the tables and raises MaxEntError if inconsistent.
     """
-    tables = {frozenset(b): t for b, t in tables.items()}
     k = from_marginals(space, model, tables)  # validates the tables
+    cells = [
+        ([j for j, c in enumerate(row.coefficients) if c], row.rhs)
+        for row in k.constraints
+    ]
 
-    n = space.n_states
-    plans = []
-    for block in model.blocks:
-        if not block:
-            continue
-        sub, cell = space.projection(block)
-        groups = [[] for _ in range(sub.n_states)]
-        for j, c in enumerate(cell):
-            groups[c].append(j)
-        plans.append(list(zip(groups, tables[block].mass)))
-
-    # An exact first sweep that reproduces every table is a point of K, which
-    # proves the tables consistent; only a miss needs the consistency LP.
-    p = [Fraction(1, n)] * n
-    try:
-        _sweep(p, plans, 0)
-    except MaxEntError:
-        _require_consistent(k)
-        raise
-    if _residual(p, plans) == 0:
-        return MaxEntResult(
-            space=space,
-            distribution=tuple(p),
-            entropy=entropy(p),
-            iterations=1,
-            residual=0.0,
-            exact=True,
-        )
-
-    _require_consistent(k)
-    # float continuation
-    p = [float(m) for m in p]
-    for sweep in range(2, MAX_SWEEPS + 1):
-        _sweep(p, plans, TOLERANCE)
-        residual = _residual(p, plans)
-        if residual <= TOLERANCE:
-            return MaxEntResult(
-                space=space,
-                distribution=tuple(p),
-                entropy=entropy(p),
-                iterations=sweep,
-                residual=float(residual),
-                exact=False,
-            )
-    raise MaxEntError(f"no convergence within {MAX_SWEEPS} sweeps")
+    p = [Fraction(1, space.n_states)] * space.n_states
+    _sweep(p, cells)
+    residual, sweeps = _residual(p, cells), 1
+    if residual:
+        if not is_consistent(k):
+            raise MaxEntError("the marginal tables are inconsistent")
+        p = [float(m) for m in p]  # float continuation
+        for sweeps in range(2, MAX_SWEEPS + 1):
+            _sweep(p, cells)
+            residual = _residual(p, cells)
+            if residual <= TOLERANCE:
+                break
+        else:
+            raise MaxEntError(f"no convergence within {MAX_SWEEPS} sweeps")
+    return MaxEntResult(
+        space=space,
+        distribution=tuple(p),
+        entropy=entropy(p),
+        iterations=sweeps,
+        residual=float(residual),
+        exact=sweeps == 1,
+    )
 
 
-def _require_consistent(k) -> None:
-    if not is_consistent(k):
-        raise MaxEntError("the marginal tables are inconsistent")
-
-
-def _sweep(p, plans, tolerance) -> None:
+def _sweep(p, cells) -> None:
     """One IPF sweep in place: scale each cell's states to the cell's target.
 
     Exact on Fraction masses; on float masses the Fraction targets divide as
-    floats.  A cell with no mass left may only have a target within tolerance.
+    floats.  A cell with no mass left is skipped: for consistent tables only
+    a zero-target cell can empty (see maxent_extend), and an empty positive
+    cell leaves a residual that sends the tables to the LP.
     """
-    for plan in plans:
-        for indices, target in plan:
-            current = sum(p[j] for j in indices)
-            if current == 0:
-                if target > tolerance:
-                    raise MaxEntError(
-                        "a marginal cell with positive mass is unreachable"
-                    )
-                continue
-            factor = target / current
-            for j in indices:
-                p[j] *= factor
+    for indices, target in cells:
+        current = sum(p[j] for j in indices)
+        if current == 0:
+            continue
+        factor = target / current
+        for j in indices:
+            p[j] *= factor
 
 
-def _residual(p, plans):
+def _residual(p, cells):
     """Largest absolute deviation of the fitted marginals from the tables."""
     worst = 0
-    for plan in plans:
-        for indices, target in plan:
-            dev = abs(sum(p[j] for j in indices) - target)
-            if dev > worst:
-                worst = dev
+    for indices, target in cells:
+        dev = abs(sum(p[j] for j in indices) - target)
+        if dev > worst:
+            worst = dev
     return worst

@@ -3,7 +3,8 @@
 Decimals are carried as strings ("0.7") or integers and parsed to exact
 rationals; binary floating literals are rejected so golden results stay
 bit-exact.  State tuples are keyed by value names joined with "," in the
-declared variable order (e.g. "B,S").
+declared variable order (e.g. "B,S"), so no value name may hold a ",".  A key
+given twice in one JSON object is an error.
 """
 
 from __future__ import annotations
@@ -49,14 +50,28 @@ def _reject_float(text: str):
 def load_problem(path: str) -> ProblemFile:
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = json.load(fh, parse_float=_reject_float)
+            raw = json.load(fh, parse_float=_reject_float, object_pairs_hook=_unique_keys)
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ProblemFileError(f"invalid JSON: {exc}") from exc
     return parse_problem(raw)
 
 
-def _state_key(space: VariableSpace, key: str) -> tuple[str, ...]:
-    parts = tuple(key.split(",")) if key else ()
+def _unique_keys(pairs) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ProblemFileError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def state_key(state) -> str:
+    return ",".join(state)
+
+
+def _state(space: VariableSpace, key: str) -> tuple[str, ...]:
+    # only the empty space's one state has no parts: "" is a value elsewhere
+    parts = tuple(key.split(",")) if key or space.names else ()
     if len(parts) != len(space.names):
         raise ProblemFileError(
             f"state key {key!r} has {len(parts)} parts, expected {len(space.names)}"
@@ -90,6 +105,8 @@ def parse_problem(raw) -> ProblemFile:
             (name, _names(values, f"the values of {name!r}"))
             for name, values in variables.items()
         )
+        for name, value in ((n, v) for n, vs in space.variables for v in vs if "," in v):
+            raise ProblemFileError(f"value {value!r} of variable {name!r} contains ',', the key separator")
     except KeyError:
         raise ProblemFileError("missing 'variables' section")
     except DomainError as exc:
@@ -109,7 +126,7 @@ def parse_problem(raw) -> ProblemFile:
         actions = _names(raw["actions"], "'actions'")
         utilities = {
             action: {
-                _state_key(dp_space, key): to_fraction(v)
+                _state(dp_space, key): to_fraction(v)
                 for key, v in _expect(row, dict, f"the utilities of {action!r}").items()
             }
             for action, row in _expect(raw["utilities"], dict, "'utilities'").items()
@@ -135,28 +152,26 @@ def parse_problem(raw) -> ProblemFile:
                 sub = space.subspace(block)
                 table = _expect(entry["table"], dict, "a marginal table")
                 tables[block] = Distribution(
-                    sub, {_state_key(sub, key): v for key, v in table.items()}
+                    sub, {_state(sub, key): v for key, v in table.items()}
                 )
             parts.append(sets.from_marginals(space, model, tables))
         if "intervals" in constraints:
             bounds = {
-                _state_key(space, key): _expect(pair, list, f"the interval of {key!r}")
+                _state(space, key): _expect(pair, list, f"the interval of {key!r}")
                 for key, pair in _expect(constraints["intervals"], dict, "'intervals'").items()
             }
             parts.append(sets.from_intervals(space, bounds))
         if "ordering" in constraints:
             ordering = _names(constraints["ordering"], "'ordering'")
-            chain = [_state_key(space, key) for key in ordering]
+            chain = [_state(space, key) for key in ordering]
             parts.append(sets.from_ordering(space, chain))
         if "linear" in constraints:
             raws = []
             for entry in constraints["linear"]:
                 coeffs = [to_fraction(0)] * space.n_states
                 for key, c in _expect(entry["coefficients"], dict, "coefficients").items():
-                    coeffs[space.state_index(_state_key(space, key))] = to_fraction(c)
-                raws.append(
-                    LinearConstraint(coeffs, entry["relation"], entry["rhs"])
-                )
+                    coeffs[space.state_index(_state(space, key))] = to_fraction(c)
+                raws.append(LinearConstraint(coeffs, entry["relation"], entry["rhs"]))
             parts.append(sets.from_raw(space, raws))
     except (ValueError, KeyError, TypeError) as exc:  # DomainError is a ValueError
         raise ProblemFileError(f"bad constraints section: {exc}") from exc

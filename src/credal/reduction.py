@@ -138,15 +138,13 @@ def projected_utility_intervals(
     work_model = Model(ambient, work_model_blocks)
     k = from_marginals(ambient, work_model, work_tables)
 
-    # utility of each ambient state = utility of its target projection
+    # utility of each ambient state = utility of its target state, in dp.space's order
     positions = [ambient.names.index(n) for n in dp.space.names]
+    cell = [dp.space.state_index([s[i] for i in positions]) for s in ambient.states]
     out = []
     for action in dp.actions:
         row = dp.utility_row(action)
-        objective = [
-            row[dp.space.state_index(tuple(s[i] for i in positions))]
-            for s in ambient.states
-        ]
+        objective = [row[c] for c in cell]
         lo = solve(k, objective, "min")
         hi = solve(k, objective, "max")
         if lo.status != "optimal":

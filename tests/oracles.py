@@ -1,6 +1,7 @@
 """Independent brute-force oracles used to cross-check the library.
 
-Nothing here shares code with the solver paths under test.
+Nothing here shares code with the solver paths under test, except where a
+section says so.
 """
 
 from __future__ import annotations
@@ -8,9 +9,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from credal.sets import CredalSet
+from credal.domain import Distribution, Model, VariableSpace
+from credal.maxent import MAX_SWEEPS, TOLERANCE, MaxEntError, MaxEntResult, entropy
+from credal.sets import CredalSet, from_marginals, is_consistent
 
 
 def solve_unique(rows, rhs, n):
@@ -356,3 +359,111 @@ def _iterate(tableau, basis, obj, width: int, allowed: int) -> None:
         if leaving is None:
             raise ColdUnbounded("LP unbounded: the feasible set should be bounded")
         _pivot(tableau, basis, [obj], leaving, entering)
+
+# Maximum-entropy fitting as it stood before it read its cells off the rows of
+# K: it groups the states of each block's cells through
+# ``VariableSpace.projection`` and raises on an unreachable positive cell.  It
+# shares ``from_marginals``, ``is_consistent`` and ``entropy`` with the
+# library, and is the reference for ``credal.maxent.maxent_extend``.
+
+
+def maxent_extend_grouped(
+    space: VariableSpace,
+    model: Model,
+    tables: Mapping[frozenset[str], Distribution],
+) -> MaxEntResult:
+    """Fit the unique maximum-entropy joint distribution matching the tables.
+
+    Starts from the uniform distribution and cycles over the marginal cells
+    in model declaration order (cells lexicographic), rescaling the matching
+    states multiplicatively.  The first sweep runs in exact rationals and is
+    exact after one sweep for decomposable models (partitions and junction
+    trees, in any block order).  Otherwise fitting continues in floating point
+    until the residual is at most TOLERANCE, for at most MAX_SWEEPS sweeps.
+    Entropy is in nats.  Inconsistent tables raise MaxEntError; the exact LP
+    that detects them runs only when the first sweep misses a table.
+    """
+    tables = {frozenset(b): t for b, t in tables.items()}
+    k = from_marginals(space, model, tables)  # validates the tables
+
+    n = space.n_states
+    plans = []
+    for block in model.blocks:
+        if not block:
+            continue
+        sub, cell = space.projection(block)
+        groups = [[] for _ in range(sub.n_states)]
+        for j, c in enumerate(cell):
+            groups[c].append(j)
+        plans.append(list(zip(groups, tables[block].mass)))
+
+    # An exact first sweep that reproduces every table is a point of K, which
+    # proves the tables consistent; only a miss needs the consistency LP.
+    p = [Fraction(1, n)] * n
+    try:
+        _sweep(p, plans, 0)
+    except MaxEntError:
+        _require_consistent(k)
+        raise
+    if _residual(p, plans) == 0:
+        return MaxEntResult(
+            space=space,
+            distribution=tuple(p),
+            entropy=entropy(p),
+            iterations=1,
+            residual=0.0,
+            exact=True,
+        )
+
+    _require_consistent(k)
+    # float continuation
+    p = [float(m) for m in p]
+    for sweep in range(2, MAX_SWEEPS + 1):
+        _sweep(p, plans, TOLERANCE)
+        residual = _residual(p, plans)
+        if residual <= TOLERANCE:
+            return MaxEntResult(
+                space=space,
+                distribution=tuple(p),
+                entropy=entropy(p),
+                iterations=sweep,
+                residual=float(residual),
+                exact=False,
+            )
+    raise MaxEntError(f"no convergence within {MAX_SWEEPS} sweeps")
+
+
+def _require_consistent(k) -> None:
+    if not is_consistent(k):
+        raise MaxEntError("the marginal tables are inconsistent")
+
+
+def _sweep(p, plans, tolerance) -> None:
+    """One IPF sweep in place: scale each cell's states to the cell's target.
+
+    Exact on Fraction masses; on float masses the Fraction targets divide as
+    floats.  A cell with no mass left may only have a target within tolerance.
+    """
+    for plan in plans:
+        for indices, target in plan:
+            current = sum(p[j] for j in indices)
+            if current == 0:
+                if target > tolerance:
+                    raise MaxEntError(
+                        "a marginal cell with positive mass is unreachable"
+                    )
+                continue
+            factor = target / current
+            for j in indices:
+                p[j] *= factor
+
+
+def _residual(p, plans):
+    """Largest absolute deviation of the fitted marginals from the tables."""
+    worst = 0
+    for plan in plans:
+        for indices, target in plan:
+            dev = abs(sum(p[j] for j in indices) - target)
+            if dev > worst:
+                worst = dev
+    return worst

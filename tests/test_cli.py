@@ -8,7 +8,7 @@ import pytest
 import credal as cr
 from credal import cli
 from credal.cli import main
-from credal.problemfile import ProblemFileError, load_problem
+from credal.problemfile import ProblemFileError, load_problem, state_key
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 SHAPE = str(PROBLEMS / "shape_color.json")
@@ -92,6 +92,54 @@ class TestProblemFile:
         code, _, err = run(capsys, "check", str(bad))
         assert code == 1
         assert err.startswith("error:")
+
+
+    @pytest.mark.parametrize("old, new, key", [
+        ('{"B,S": "10"', '{"B,S": "1", "B,S": "10"', "B,S"),
+        ('{"C": ["B", "W"]', '{"C": ["X", "Y"], "C": ["B", "W"]', "C"),
+        ('{"B": "0.7"', '{"B": "0.2", "B": "0.7"', "B"),
+    ], ids=["utility-state", "variable", "table-cell"])
+    def test_duplicate_key_rejected(self, capsys, tmp_path, old, new, key):
+        text = Path(SHAPE).read_text()
+        assert old in text
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace(old, new, 1))
+        with pytest.raises(ProblemFileError, match=f"duplicate key '{key}'"):
+            load_problem(str(bad))
+        code, _, err = run(capsys, "check", str(bad))
+        assert code == 1 and err == f"error: duplicate key '{key}'\n"
+
+    def test_comma_in_value_rejected(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "variables": {"X": ["a,b", "c"]}, "actions": ["u"],
+            "utilities": {"u": {"a,b": "1", "c": "2"}}}))
+        with pytest.raises(ProblemFileError, match="value 'a,b' of variable 'X'"):
+            load_problem(str(bad))
+        code, _, err = run(capsys, "check", str(bad))
+        assert code == 1 and "'a,b'" in err
+
+    def test_every_state_key_round_trips(self, tmp_path):
+        # "" is a value name like any other, in one variable or several
+        space = cr.VariableSpace([("X", ["", "c"]), ("Y", ["d", ""])])
+        for names in (["X"], ["X", "Y"]):
+            states = space.subspace(names).states
+            doc = {"variables": dict(space.variables), "target_variables": names,
+                   "actions": ["u"],
+                   "utilities": {"u": {state_key(s): str(j) for j, s in enumerate(states)}}}
+            path = tmp_path / "p.json"
+            path.write_text(json.dumps(doc))
+            assert load_problem(str(path)).problem.utilities == (tuple(range(len(states))),)
+
+    def test_empty_value_addressable(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({
+            "variables": {"X": ["", "c"]}, "actions": ["u"],
+            "utilities": {"u": {"": "1", "c": "2"}},
+            "constraints": {"intervals": {"": ["1/2", "1"]}}}))
+        code, out, _ = run(capsys, "intervals", str(path))
+        assert code == 0
+        assert out == "U(u) = [1 (1.000000), 3/2 (1.500000)]\n"
 
 
 class TestCheck:
@@ -207,6 +255,14 @@ class TestDecide:
         code, out, _ = run(capsys, "decide", COIN, "--criterion", "gh",
                            "--alpha", "1/2")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "criterion", [name for name, (needs_alpha, _) in cli.CRITERIA.items() if not needs_alpha]
+    )
+    def test_alpha_refused_where_unused(self, capsys, criterion):
+        code, out, err = run(capsys, "decide", COIN, "--criterion", criterion, "--alpha", "7")
+        assert code == 1 and out == ""
+        assert err == f"error: criterion '{criterion}' takes no --alpha\n"
 
     def test_target_projected_gm(self, capsys):
         code, out, _ = run(capsys, "decide", THREE, "--criterion", "gm")
