@@ -3,8 +3,8 @@
     credal check|intervals|decide|maxent|reduce|admissible <file>
            [--criterion C] [--alpha RAT] [--format text|json] [--intervals]
 
-Exit codes: 0 success, 1 usage error, 2 inconsistent constraints,
-3 internal error (a solver fault or any other unexpected exception).
+Exit codes: 0 success, 1 usage error, 2 inconsistent constraints, 3 internal
+error (a solver fault, a maxent fit that never converges, any other fault).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import criteria, maxent, reduction, sets
 from .domain import DomainError, to_fraction
-from .maxent import MaxEntError
 from .problemfile import ProblemFile, ProblemFileError, load_problem, state_key
 from .sets import EmptyCredalSetError
 
@@ -250,7 +249,7 @@ def main(argv=None) -> int:
     except (UsageError, ProblemFileError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EmptyCredalSetError, MaxEntError) as exc:
+    except EmptyCredalSetError as exc:
         print(f"inconsistent: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except Exception as exc:  # a SolverError, or any fault the branches above do not expect

@@ -1,5 +1,7 @@
 """Exact-rational two-phase simplex with Bland's anti-cycling rule.
 
+Both phases run on one tableau layout: the variables, then one slack per
+``<=`` row, then the right-hand side; phase one's artificials have no columns.
 Phase one reads only the constraints, so ``reoptimize`` can start phase two
 for any objective from an earlier result's basis: a credal set runs phase one
 once (``sets.CredalSet.phase_one``) however many objectives it is solved for.
@@ -21,8 +23,7 @@ class LpResult:
     status: str  # "optimal" | "infeasible"
     value: Fraction | None = None
     x: tuple[Fraction, ...] | None = None
-    # final tableau (artificial columns dropped) and basis of an optimal
-    # result, from which reoptimize starts
+    # final tableau and basis of an optimal result, from which reoptimize starts
     _tableau: list[list[Fraction]] | None = field(default=None, repr=False, compare=False)
     _basis: list[int] | None = field(default=None, repr=False, compare=False)
 
@@ -37,53 +38,37 @@ def solve_lp(
     """Optimize objective·x subject to eq rows (a·x = b), ub rows (a·x <= b), x >= 0.
 
     All arithmetic is exact; the returned x satisfies every constraint exactly.
-    Phase one ignores the objective; ``reoptimize`` runs phase two alone for
-    another objective.  Unbounded problems raise SolverError (the feasible
-    sets handled here are always bounded).
+    Phase one minimizes the sum of one artificial per row and ignores the
+    objective; ``reoptimize`` runs phase two alone for another objective.
+    Unbounded problems raise SolverError (the feasible sets handled here are
+    always bounded).
     """
     _check_objective(num_vars, objective, sense)
 
     n_slack = len(ub)
     total = num_vars + n_slack
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for coeffs, b in eq:
-        row = [Fraction(v) for v in coeffs] + [Fraction(0)] * n_slack
-        rows.append(row)
-        rhs.append(Fraction(b))
-    for k, (coeffs, b) in enumerate(ub):
-        row = [Fraction(v) for v in coeffs] + [Fraction(0)] * n_slack
-        row[num_vars + k] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(b))
+    tableau: list[list[Fraction]] = []
+    for i, (coeffs, b) in enumerate([*eq, *ub]):
+        row = [Fraction(v) for v in coeffs] + [Fraction(0)] * n_slack + [Fraction(b)]
+        if i >= len(eq):
+            row[num_vars + i - len(eq)] = Fraction(1)  # the slack of a <= row
+        tableau.append(row if row[-1] >= 0 else [-v for v in row])  # b >= 0 for phase one
 
-    # b >= 0 for phase one
-    for i in range(len(rows)):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-
-    m = len(rows)
-    # one artificial per row; a slack already basic with b >= 0 could serve,
-    # but uniform artificials keep the setup simple at desk scale
-    tableau = [rows[i] + [Fraction(0)] * m + [rhs[i]] for i in range(m)]
-    for i in range(m):
-        tableau[i][total + i] = Fraction(1)
+    # Phase one minimizes the sum of one artificial per row; row i starts on
+    # its artificial, index total + i.  The artificials need no columns: one
+    # that leaves the basis is fixed at 0, which keeps every x that satisfies
+    # the rows feasible.  The reduced costs start at minus the column sums.
+    m = len(tableau)
     basis = [total + i for i in range(m)]
-
-    # phase one: minimize the sum of artificials
-    obj1 = [Fraction(0)] * total + [Fraction(1)] * m + [Fraction(0)]
-    for i in range(m):
-        _eliminate(obj1, tableau[i], basis[i])
+    obj1 = [-sum((row[j] for row in tableau), Fraction(0)) for j in range(total + 1)]
     _iterate(tableau, basis, obj1)
     if -obj1[-1] != 0:
         return LpResult(status="infeasible")
 
     # Drive the remaining artificials out of the basis.  A row whose artificial
-    # cannot leave is zero in every structural column (a redundant row), so it
-    # never takes part in a ratio test, and phase two never lets an artificial
-    # enter: dropping such rows and the artificial columns changes no pivot.
+    # cannot leave is zero in every column (a redundant row), so it never takes
+    # part in a ratio test: dropping it changes no pivot.
     kept = []
     for i in range(m):
         if basis[i] >= total:
@@ -92,7 +77,7 @@ def solve_lp(
                 continue
             _pivot(tableau, basis, obj1, i, piv)
         kept.append(i)
-    tableau = [tableau[i][:total] + tableau[i][-1:] for i in kept]
+    tableau = [tableau[i] for i in kept]
     return _phase_two(tableau, [basis[i] for i in kept], objective, sense)
 
 

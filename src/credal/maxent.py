@@ -8,14 +8,14 @@ from fractions import Fraction
 from typing import Mapping
 
 from .domain import Distribution, Model, VariableSpace
-from .sets import from_marginals, is_consistent
+from .sets import EmptyCredalSetError, from_marginals, is_consistent
 
 TOLERANCE = 1e-12
 MAX_SWEEPS = 10000
 
 
 class MaxEntError(RuntimeError):
-    """Inconsistent marginals or failure to converge."""
+    """The fit did not converge (inconsistent tables raise EmptyCredalSetError)."""
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def maxent_extend(
     zero-mass cells, where every p in K is zero too (Csiszar 1975), so
     consistent tables leave every positive cell some mass.  A first sweep that
     reproduces every table is a point of K; only a miss runs the exact LP,
-    which alone judges the tables and raises MaxEntError if inconsistent.
+    which alone judges the tables and raises EmptyCredalSetError if inconsistent.
     """
     k = from_marginals(space, model, tables)  # validates the tables
     cells = [
@@ -74,7 +74,7 @@ def maxent_extend(
     residual, sweeps = _residual(p, cells), 1
     if residual:
         if not is_consistent(k):
-            raise MaxEntError("the marginal tables are inconsistent")
+            raise EmptyCredalSetError("the marginal tables are inconsistent")
         p = [float(m) for m in p]  # float continuation
         for sweeps in range(2, MAX_SWEEPS + 1):
             _sweep(p, cells)

@@ -19,7 +19,7 @@ from .domain import (
 
 
 class EmptyCredalSetError(ValueError):
-    """Raised when a criterion is applied to an empty credal set."""
+    """Raised when an answer needs a point of an empty credal set."""
 
 
 @dataclass(frozen=True)

@@ -281,6 +281,26 @@ class TestMaxent:
         code, _, err = run(capsys, "maxent", COIN)
         assert code == 1
 
+    def test_no_convergence_is_not_inconsistency(self, capsys, tmp_path, monkeypatch):
+        # consistent tables of a 3-cycle, which IPF fits only in the limit
+        space = cr.VariableSpace([(v, "01") for v in "abc"])
+        p = cr.Distribution(space, [Fraction(w, 36) for w in range(1, 9)])
+        marginals = [
+            {"block": list(b), "table": {state_key(s): str(m) for s, m in
+                                         cr.project(p, b).as_dict().items()}}
+            for b in ("ab", "bc", "ac")
+        ]
+        f = tmp_path / "cycle.json"
+        f.write_text(json.dumps({
+            "variables": dict(space.variables), "actions": ["u"],
+            "utilities": {"u": {state_key(s): "0" for s in space.states}},
+            "constraints": {"marginals": marginals}}))
+        monkeypatch.setattr(cr.maxent, "MAX_SWEEPS", 2)
+        assert run(capsys, "check", str(f))[0] == 0
+        code, _, err = run(capsys, "maxent", str(f))
+        assert code == 3
+        assert "no convergence" in err and not err.startswith("inconsistent:")
+
 
 class TestReduce:
     def test_three_table(self, capsys):

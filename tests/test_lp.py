@@ -231,3 +231,87 @@ class TestWarmStart:
                 objective = [rng.randrange(-2, 3) for _ in range(space.n_states)]
                 fresh = cr.from_raw(space, k.constraints)
                 assert solve(k, objective, sense) == solve(fresh, objective, sense)
+
+
+def rand_degenerate_lp(rng):
+    """A small LP built to be degenerate: equality rows through a point x0
+    with many zero coordinates, their scaled duplicates and sums, rows with a
+    zero right-hand side, <= rows tight at x0, and a total-mass bound that
+    keeps it bounded.  A few have one right-hand side moved and are often
+    infeasible."""
+    n = rng.randrange(2, 6)
+    x0 = [Fraction(rng.choice((0, 0, 0, 1, 2))) for _ in range(n)]
+
+    def through_x0():
+        a = [Fraction(rng.randrange(-2, 3)) for _ in range(n)]
+        return a, sum(u * v for u, v in zip(a, x0))
+
+    def zero_rhs():
+        a = [Fraction(rng.randrange(-2, 3)) if v == 0 else Fraction(0) for v in x0]
+        return a, Fraction(0)
+
+    eq = [rng.choice((through_x0, zero_rhs))() for _ in range(rng.randrange(1, 3))]
+    for _ in range(rng.randrange(0, 3)):
+        (a, b), (c, d) = rng.choice(eq), rng.choice(eq)
+        if rng.random() < 0.5:
+            k = Fraction(rng.choice((-2, -1, 3)), rng.choice((1, 2)))
+            eq.append(([k * u for u in a], k * b))  # scaled duplicate
+        else:
+            eq.append(([u + v for u, v in zip(a, c)], b + d))  # summed rows
+    ub = [rng.choice((through_x0, zero_rhs))() for _ in range(rng.randrange(0, 2))]
+    ub.append(([Fraction(1)] * n, sum(x0) + rng.choice((0, 0, 1))))
+    if rng.random() < 0.1:
+        a, b = eq[0]
+        eq[0] = (a, b + rng.choice((-1, 1)))
+    rng.shuffle(eq)
+    objective = [Fraction(rng.randrange(-2, 3)) for _ in range(n)]
+    return n, objective, rng.choice(("min", "max")), eq, ub
+
+
+# On this LP a phase one with artificial columns (solve_lp_cold) pivots an
+# artificial back in while degenerate, and so ends on another optimal vertex
+# than solve_lp, whose artificials have no columns: the values agree, x not.
+ARTIFICIAL_REENTRY_LP = (
+    5, [Fraction(v) for v in (2, -1, -1, 1, -1)], "min",
+    [([Fraction(v) for v in a], Fraction(b)) for a, b in (
+        ((0, 0, 0, 0, 0), 0), ((2, -1, 2, -1, -1), 3), ((-1, 1, -1, 1, 1), -1),
+        ((-1, -1, -1, -1, -1), -3), ((1, 1, 1, 1, 1), 3), ((1, -1, 1, -1, -1), 1))],
+    [([Fraction(v) for v in a], Fraction(b)) for a, b in (
+        ((-1, -2, 2, 1, -2), 0), ((1, -2, 1, 2, 1), 4), ((1, 1, 1, 1, 1), 3))],
+)
+
+
+class TestDegenerate:
+    @staticmethod
+    def check_x(result, n, objective, eq, ub):
+        """x satisfies every row exactly, is >= 0 and attains the value."""
+        x = result.x
+        assert len(x) == n and all(v >= 0 for v in x)
+        for a, b in eq:
+            assert sum(u * v for u, v in zip(a, x)) == b
+        for a, b in ub:
+            assert sum(u * v for u, v in zip(a, x)) <= b
+        assert sum(c * v for c, v in zip(objective, x)) == result.value
+
+    def test_status_and_value_match_cold_oracle(self):
+        rng = random.Random(31)
+        lps = [rand_degenerate_lp(rng) for _ in range(1000)] + [ARTIFICIAL_REENTRY_LP]
+        statuses = set()
+        for n, objective, sense, eq, ub in lps:
+            want = solve_lp_cold(n, objective, sense, eq, ub)
+            start = solve_lp(n, [Fraction(0)] * n, "min", eq, ub)
+            for got in (solve_lp(n, objective, sense, eq, ub),
+                        reoptimize(start, objective, sense)):
+                assert (got.status, got.value) == (want.status, want.value)
+                if got.status == "optimal":
+                    self.check_x(got, n, objective, eq, ub)
+            statuses.add(want.status)
+        assert statuses == {"optimal", "infeasible"}
+
+    def test_artificial_reentry_lp_pinned(self):
+        result = solve_lp(*ARTIFICIAL_REENTRY_LP)
+        assert result.value == -1
+        assert result.x == tuple(Fraction(v) for v in ("2/3", "1", "4/3", "0", "0"))
+        cold = solve_lp_cold(*ARTIFICIAL_REENTRY_LP)
+        assert cold.value == -1
+        assert cold.x == tuple(Fraction(v) for v in ("2/3", "0", "4/3", "0", "1"))
